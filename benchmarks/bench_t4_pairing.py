@@ -26,7 +26,7 @@ def test_bench_t4_food_pairing(benchmark, spark, bench_corpus, bench_matrix):
 
 
 def test_bench_t4_scoring_only(benchmark, spark, bench_corpus, bench_matrix):
-    """Just the recipe-scoring fast path over the real corpus."""
+    """Just the recipe-scoring kernel over the real corpus."""
     from repro.core.pairing import cuisine_scores, recipe_scores_fast
 
     def work():

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from repro.core.pairing import shared_matrix, shared_pairs
-from repro.culinarydb.corpus import build_corpus, explode_corpus
+from repro.core.pairing import shared_matrix
+from repro.culinarydb.corpus import build_corpus
 from repro.flavordb.profiles import profiles_df
 
 BENCH_SCALE = 0.1
@@ -13,14 +13,6 @@ SEED = 11
 @pytest.fixture(scope="session")
 def bench_profiles(spark):
     df = profiles_df(spark).persist()
-    df.count()
-    yield df
-    df.unpersist()
-
-
-@pytest.fixture(scope="session")
-def bench_pairs(spark, bench_profiles):
-    df = shared_pairs(bench_profiles).persist()
     df.count()
     yield df
     df.unpersist()
@@ -38,10 +30,3 @@ def bench_corpus(spark):
     yield df
     df.unpersist()
 
-
-@pytest.fixture(scope="session")
-def bench_exploded(bench_corpus):
-    df = explode_corpus(bench_corpus).persist()
-    df.count()
-    yield df
-    df.unpersist()

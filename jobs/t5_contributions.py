@@ -11,17 +11,18 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.contribution import ingredient_contributions, top_contributors
-from repro.core.pairing import shared_pairs
-from repro.culinarydb.corpus import build_corpus, explode_corpus
+from repro.core.pairing import shared_matrix
+from repro.culinarydb.corpus import build_corpus
 from repro.flavordb.profiles import profiles_df
 from repro.regions import REGIONS
 
 
 def run(spark: SparkSession, scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
     corpus = build_corpus(spark, scale=scale, seed=seed)
-    exploded = explode_corpus(corpus).where("region != 'OTHER'")
-    pairs = shared_pairs(profiles_df(spark))
-    contrib = ingredient_contributions(exploded, pairs)
+    matrix = shared_matrix(spark, profiles_df(spark))
+    contrib = ingredient_contributions(
+        corpus.where("region != 'OTHER'"), matrix
+    )
     return top_contributors(contrib, k=3)
 
 

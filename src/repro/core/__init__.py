@@ -1,25 +1,23 @@
 """The paper's primary contribution: food-pairing analysis of cuisines.
 
-* :mod:`repro.core.pairing` — shared-molecule pair statistics and the
-  recipe food-pairing score ``N_s^R`` (Methodology §B), with a pure
-  DataFrame-join path and a broadcast-matrix fast path that tests prove
-  equivalent;
+* :mod:`repro.core.pairing` — the ingredient overlap matrix
+  |F_i ∩ F_j| and the one gather kernel over it, which scores recipes
+  (``N_s^R``, Methodology §B) against a broadcast copy of the matrix;
 * :mod:`repro.core.randomize` — the four randomized-cuisine models
   (Random / Ingredient Frequency / Ingredient Category /
   Frequency + Category);
 * :mod:`repro.core.zscore` — cuisine scores ``N_s^C`` and the Z-score of
   each cuisine and model against the Random Cuisine (Fig. 4);
 * :mod:`repro.core.contribution` — ingredient contribution χ_i via exact
-  pair-level decomposition (Fig. 5);
+  pair-level decomposition on the same kernel (Fig. 5);
 * :mod:`repro.core.stats` — corpus statistics for Table 1, Fig. 2 and
   Fig. 3.
 """
 from repro.core.pairing import (
     cuisine_scores,
+    member_overlap,
     recipe_scores_fast,
-    recipe_scores_join,
     shared_matrix,
-    shared_pairs,
 )
 from repro.core.randomize import MODELS, random_recipes, region_model_inputs
 from repro.core.zscore import food_pairing_table
@@ -30,11 +28,10 @@ __all__ = [
     "cuisine_scores",
     "food_pairing_table",
     "ingredient_contributions",
+    "member_overlap",
     "random_recipes",
     "recipe_scores_fast",
-    "recipe_scores_join",
     "region_model_inputs",
     "shared_matrix",
-    "shared_pairs",
     "top_contributors",
 ]

@@ -12,104 +12,77 @@ decomposition:
     score'_R = 2 (S_R − T_{R,i}) / ((n−1)(n−2))     for recipes R ∋ i, n ≥ 3
 
 where S_R is R's total pair overlap and T_{R,i} the overlap of pairs
-involving i — both plain Spark aggregations over the per-recipe pair
-table.
+involving i, both from the gather kernel
+:func:`repro.core.pairing.member_overlap` in one ``mapInPandas`` pass.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
+import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 from pyspark.sql import DataFrame
 
+from repro.core.pairing import PAD_ID, cuisine_scores, member_overlap, recipe_scores_fast
 from repro.flavordb.ingredients import ingredient_master
 
-
-def _scored_pairs(exploded: DataFrame, shared: DataFrame) -> DataFrame:
-    """(recipe_id, region, n, i, j, s) for every unordered recipe pair."""
-    left = exploded.select(
-        "recipe_id", "region", "n", F.col("ingredient_id").alias("i")
-    )
-    right = exploded.select("recipe_id", F.col("ingredient_id").alias("j"))
-    return (
-        left.join(right, on="recipe_id")
-        .where(F.col("i") < F.col("j"))
-        .join(shared, on=["i", "j"], how="left")
-        .withColumn("s", F.coalesce(F.col("shared"), F.lit(0)))
-        .drop("shared")
-    )
+_MEMBER_SCHEMA = "region string, ingredient_id long, score double, adj double, dropped int"
 
 
-def ingredient_contributions(exploded: DataFrame, shared: DataFrame) -> DataFrame:
+def ingredient_contributions(recipes: DataFrame, matrix: np.ndarray) -> DataFrame:
     """χ_i for every (region, ingredient).
 
-    Returns (region, ingredient_id, n_containing, ns_c, ns_without, chi)
-    where ``chi`` = 100 · (N_s^C − N_s^{C∖i}) / N_s^C: positive χ means
-    the ingredient pulls the cuisine's pairing score *up*.
+    ``recipes`` has one row per recipe with ``recipe_id``, ``region``,
+    ``n`` and ``ingredients``; ``matrix`` is the overlap matrix from
+    :func:`repro.core.pairing.shared_matrix`.  Returns (region,
+    ingredient_id, n_containing, ns_c, ns_without, chi) where ``chi`` =
+    100 · (N_s^C − N_s^{C∖i}) / N_s^C: positive χ means the ingredient
+    pulls the cuisine's pairing score *up*.  ``chi`` is NULL when
+    removing i empties the region or when N_s^C = 0.
     """
-    pairs = _scored_pairs(exploded, shared)
+    bc = recipes.sparkSession.sparkContext.broadcast(matrix)
 
-    recipe_tot = pairs.groupBy("recipe_id", "region", "n").agg(
-        F.sum("s").alias("s_r")
-    )
-    recipe_tot = recipe_tot.withColumn(
-        "score", F.col("s_r") * 2.0 / (F.col("n") * (F.col("n") - 1))
-    )
-    region_tot = recipe_tot.groupBy("region").agg(
-        F.sum("score").alias("total_score"), F.count("*").alias("n_r")
-    )
+    def members(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        """One row per member: its recipe's score and the score without it."""
+        for pdf in batches:
+            if len(pdf) == 0:
+                continue
+            ids, t = member_overlap(pdf, bc.value)
+            n = pdf["n"].to_numpy()[:, None].astype(np.float64)
+            pair_sum = t.sum(axis=1, keepdims=True)  # 2 S_R
+            adj = np.where(n >= 3, (pair_sum - 2 * t) / np.maximum((n - 1) * (n - 2), 1), 0.0)
+            real = ids != PAD_ID
+            rows = np.nonzero(real)[0]
+            yield pd.DataFrame({
+                "region": pdf["region"].to_numpy()[rows],
+                "ingredient_id": ids[real],
+                "score": (pair_sum / (n * (n - 1)))[rows, 0],
+                "adj": adj[real],
+                "dropped": (n[rows, 0] == 2).astype(np.int32),
+            })
 
-    t_side = pairs.select(
-        "recipe_id", F.col("i").alias("ingredient_id"), "s"
-    ).unionByName(pairs.select("recipe_id", F.col("j").alias("ingredient_id"), "s"))
-    t = t_side.groupBy("recipe_id", "ingredient_id").agg(F.sum("s").alias("t_ri"))
-
-    member = (
-        exploded.join(
-            recipe_tot.select("recipe_id", "s_r", "score"), on="recipe_id"
-        )
-        .join(t, on=["recipe_id", "ingredient_id"], how="left")
-        .withColumn("t_ri", F.coalesce(F.col("t_ri"), F.lit(0)))
-        .withColumn(
-            "adj_score",
-            F.when(
-                F.col("n") >= 3,
-                (F.col("s_r") - F.col("t_ri"))
-                * 2.0
-                / ((F.col("n") - 1) * (F.col("n") - 2)),
-            ),
+    per_ing = (
+        recipes.mapInPandas(members, _MEMBER_SCHEMA)
+        .groupBy("region", "ingredient_id")
+        .agg(
+            F.count("*").alias("n_containing"),
+            F.sum("score").alias("sum_orig"),
+            F.sum("adj").alias("sum_adj"),
+            F.sum("dropped").alias("n_dropped"),
         )
     )
-
-    per_ing = member.groupBy("region", "ingredient_id").agg(
-        F.count("*").alias("n_containing"),
-        F.sum("score").alias("sum_orig"),
-        F.sum("adj_score").alias("sum_adj"),
-        F.sum(F.when(F.col("n") == 2, 1).otherwise(0)).alias("n_dropped"),
+    region_tot = cuisine_scores(recipe_scores_fast(recipes, matrix)).select(
+        "region", F.col("ns").alias("ns_c"), F.col("n_recipes").alias("n_r")
     )
 
-    out = per_ing.join(region_tot, on="region")
-    out = out.withColumn("ns_c", F.col("total_score") / F.col("n_r"))
-    out = out.withColumn(
-        "ns_without",
-        F.when(
-            F.col("n_r") - F.col("n_dropped") > 0,
-            (
-                F.col("total_score")
-                - F.col("sum_orig")
-                + F.coalesce(F.col("sum_adj"), F.lit(0.0))
-            )
-            / (F.col("n_r") - F.col("n_dropped")),
-        ),
-    )
-    out = out.withColumn(
-        "chi",
-        F.when(
-            F.col("ns_c") != 0,
-            100.0 * (F.col("ns_c") - F.col("ns_without")) / F.col("ns_c"),
-        ),
-    )
-    return out.select(
-        "region", "ingredient_id", "n_containing", "ns_c", "ns_without", "chi"
+    remaining = F.col("n_r") - F.col("n_dropped")
+    total = F.col("ns_c") * F.col("n_r")
+    ns_without = F.when(remaining > 0, (total - F.col("sum_orig") + F.col("sum_adj")) / remaining)
+    chi = F.when(F.col("ns_c") != 0, 100.0 * (F.col("ns_c") - ns_without) / F.col("ns_c"))
+    return per_ing.join(region_tot, on="region").select(
+        "region", "ingredient_id", "n_containing", "ns_c",
+        ns_without.alias("ns_without"), chi.alias("chi"),
     )
 
 

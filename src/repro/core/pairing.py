@@ -7,17 +7,11 @@ For a recipe R with n ingredients,
 i.e. the mean shared-flavor-molecule count over unordered ingredient
 pairs; the cuisine score N_s^C is the mean of N_s^R over recipes.
 
-Two implementations, cross-checked by tests and the DuckDB oracle:
-
-* **join path** — `shared_pairs` self-joins the long-format profile
-  DataFrame on molecule_id to produce |F_i ∩ F_j| per pair, then
-  `recipe_scores_join` self-joins the exploded corpus per recipe and
-  aggregates.  Pure Catalyst dataflow; exercises shuffle joins.
-* **fast path** — the pair table is collected into a dense
-  (N+1)×(N+1) int32 matrix (≈3.6 MB), broadcast to executors, and
-  `recipe_scores_fast` scores recipe batches with one vectorized NumPy
-  gather per batch.  This is what makes 100,000-recipe randomized
-  cuisines per model per region tractable.
+One overlap matrix and one gather kernel serve every score:
+:func:`shared_matrix` builds the dense (N+1)² int32 |F_i ∩ F_j| matrix
+(≈3.6 MB) as B·Bᵀ of the ingredient × molecule incidence matrix, and
+:func:`member_overlap` gathers each recipe member's overlap T_{R,i} from a
+broadcast copy: for N_s^R here, for χ in :mod:`repro.core.contribution`.
 """
 from __future__ import annotations
 
@@ -30,69 +24,55 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import DoubleType, StructField, StructType
 
 from repro.flavordb.ingredients import N_INGREDIENTS
+from repro.flavordb.profiles import shared_matrix_numpy
 
 #: Padding slot used by the vectorized scorer; row/column is all zeros.
 PAD_ID = N_INGREDIENTS
 
 
-def shared_pairs(profiles: DataFrame) -> DataFrame:
-    """|F_i ∩ F_j| for every ingredient pair i < j with nonzero overlap.
-
-    Columns: ``i``, ``j``, ``shared``.  Pairs that share no molecule are
-    absent (consumers must treat missing as 0).
-    """
-    a = profiles.select(
-        F.col("ingredient_id").alias("i"), F.col("molecule_id").alias("m")
-    )
-    b = profiles.select(
-        F.col("ingredient_id").alias("j"), F.col("molecule_id").alias("m")
-    )
-    return (
-        a.join(b, on="m")
-        .where(F.col("i") < F.col("j"))
-        .groupBy("i", "j")
-        .agg(F.count("*").alias("shared"))
-    )
-
-
 def shared_matrix(spark: SparkSession, profiles: DataFrame) -> np.ndarray:
-    """Dense symmetric overlap matrix from :func:`shared_pairs`.
+    """Dense symmetric overlap matrix of the long-format ``profiles``.
 
     Shape (N_INGREDIENTS+1, N_INGREDIENTS+1); index ``PAD_ID`` is an
     all-zero padding slot and the diagonal is zero.
     """
-    pdf = shared_pairs(profiles).toPandas()
-    s = np.zeros((N_INGREDIENTS + 1, N_INGREDIENTS + 1), dtype=np.int32)
-    s[pdf["i"].to_numpy(), pdf["j"].to_numpy()] = pdf["shared"].to_numpy()
-    return s + s.T
+    return shared_matrix_numpy(profiles.toPandas())
 
 
-def recipe_scores_join(exploded: DataFrame, shared: DataFrame) -> DataFrame:
-    """N_s^R per recipe via DataFrame joins.
+def member_overlap(pdf: pd.DataFrame, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Padded member ids and each member's overlap with the rest of its recipe.
 
-    ``exploded`` has (recipe_id, region, n, ingredient_id); ``shared``
-    comes from :func:`shared_pairs`.  Returns (recipe_id, region, n,
-    score).  Zero-overlap pairs contribute 0 via the left join; recipes
-    whose pairs all have zero overlap still appear (score 0) because the
-    pair self-join always produces n(n-1)/2 rows per recipe.
+    ``pdf`` has ``recipe_id``, ``n`` and ``ingredients`` per recipe.  Returns
+    ``(ids, t)``, (recipes × max size) each: members padded with ``PAD_ID``,
+    and T_{R,i} = Σ_{j ∈ R} |F_i ∩ F_j| (0 in the padding).  Raises
+    ``ValueError`` naming a recipe whose ``n`` is not its member count, or
+    with an id outside [0, N_INGREDIENTS), a repeated member or n < 2.
     """
-    left = exploded.select(
-        "recipe_id", "region", "n", F.col("ingredient_id").alias("i")
-    )
-    right = exploded.select("recipe_id", F.col("ingredient_id").alias("j"))
-    pairs = left.join(right, on="recipe_id").where(F.col("i") < F.col("j"))
-    scored = pairs.join(shared, on=["i", "j"], how="left").withColumn(
-        "shared", F.coalesce(F.col("shared"), F.lit(0))
-    )
-    return scored.groupBy("recipe_id", "region", "n").agg(
-        (F.sum("shared") * 2.0 / (F.first("n") * (F.first("n") - 1))).alias("score")
-    )
+    lengths = pdf["ingredients"].map(len).to_numpy()
+    ids = np.full((len(pdf), lengths.max()), PAD_ID, dtype=np.int64)
+    real = np.arange(ids.shape[1]) < lengths[:, None]
+    ids[real] = np.concatenate(pdf["ingredients"].to_list())
+    n = pdf["n"].to_numpy()
+    out_of_range = (real & ((ids < 0) | (ids >= PAD_ID))).any(axis=1)
+    ordered = np.sort(ids, axis=1)
+    repeated = ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != PAD_ID)).any(axis=1)
+    for bad, what in (
+        (n != lengths, "n differs from the number of ingredients"),
+        (out_of_range, f"ingredient id outside [0, {PAD_ID})"),
+        (repeated, "duplicate ingredient"),
+        (n < 2, "fewer than 2 ingredients"),
+    ):
+        if bad.any():
+            raise ValueError(f"recipe {pdf['recipe_id'].iloc[bad.argmax()]}: {what}")
+    # The diagonal and the padding row/column are zero, so padding and a
+    # member's pair with itself add nothing.
+    return ids, matrix[ids[:, :, None], ids[:, None, :]].sum(axis=2)
 
 
 def recipe_scores_fast(recipes: DataFrame, matrix: np.ndarray) -> DataFrame:
     """N_s^R per recipe via the broadcast overlap matrix.
 
-    ``recipes`` must carry ``ingredients`` (array) and ``n``; output is
+    ``recipes`` must carry ``recipe_id``, ``n`` and ``ingredients``; output is
     the input schema plus a ``score`` column.  The matrix is shipped with
     ``SparkContext.broadcast`` (one copy per executor, not per task).
     """
@@ -109,18 +89,9 @@ def recipe_scores_fast(recipes: DataFrame, matrix: np.ndarray) -> DataFrame:
         for pdf in batches:
             if len(pdf) == 0:
                 continue
+            _, t = member_overlap(pdf, s)
             sizes = pdf["n"].to_numpy()
-            max_n = int(sizes.max())
-            padded = np.full((len(pdf), max_n), PAD_ID, dtype=np.int64)
-            for row, ing in enumerate(pdf["ingredients"]):
-                padded[row, : len(ing)] = ing
-            # Full gather counts each unordered pair twice; the diagonal
-            # and padding rows are zero, so sum/(n(n-1)) is exactly N_s^R.
-            gathered = s[padded[:, :, None], padded[:, None, :]]
-            totals = gathered.sum(axis=(1, 2)).astype(np.float64)
-            pdf = pdf.copy()
-            pdf["score"] = totals / (sizes * (sizes - 1.0))
-            yield pdf
+            yield pdf.assign(score=t.sum(axis=1) / (sizes * (sizes - 1.0)))
 
     return recipes.mapInPandas(run, out_schema)
 

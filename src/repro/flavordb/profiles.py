@@ -22,16 +22,15 @@ import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.flavordb.ingredients import N_INGREDIENTS, ingredient_master
-from repro.flavordb.molecules import (
-    N_MOLECULES,
-    community_molecules,
-    shared_pool_molecules,
-)
+from repro.flavordb.molecules import community_molecules, shared_pool_molecules
 
 #: Fraction of a profile drawn from the ingredient's home community.
 _COMMUNITY_FRACTION = 0.8
 
 _MIN_PROFILE, _MAX_PROFILE = 5, 150
+
+#: Molecule columns, and ingredient rows, per BLAS product in the overlap matrix.
+_CHUNK = 256
 
 
 @lru_cache(maxsize=4)
@@ -97,22 +96,27 @@ def profiles_df(spark: SparkSession, seed: int = 7) -> DataFrame:
     return basic.unionByName(pooled)
 
 
-def profiles_pandas(spark: SparkSession, seed: int = 7) -> pd.DataFrame:
-    """All profiles (basic + pooled compound) collected to pandas."""
-    return profiles_df(spark, seed).toPandas()
-
-
 def shared_matrix_numpy(profiles: pd.DataFrame) -> np.ndarray:
-    """Reference dense |F_i ∩ F_j| matrix from long-format profiles.
+    """Dense |F_i ∩ F_j| matrix from long-format profiles: B·Bᵀ.
 
-    Pure-NumPy cross-check for the Spark join in
-    :func:`repro.core.pairing.shared_pairs`: builds the binary
-    ingredient × molecule incidence matrix and multiplies.  Shape is
-    (N_INGREDIENTS + 1, N_INGREDIENTS + 1); the final row/column is an
-    all-zero padding slot used by the vectorized recipe scorer.
+    B is the ingredient × molecule incidence matrix (Ahn et al., Sci. Rep.
+    2011), built ``_CHUNK`` molecules at a time; each chunk's product is
+    taken ``_CHUNK`` rows at a time in float32 BLAS and added into the int32
+    result.  float32 is exact: no overlap exceeds the molecule count, far
+    below 2^24.  Shape (N_INGREDIENTS + 1)², zero diagonal; the last
+    row/column is the all-zero ``PAD_ID`` padding slot.
     """
-    b = np.zeros((N_INGREDIENTS + 1, N_MOLECULES), dtype=np.int32)
-    b[profiles["ingredient_id"].to_numpy(), profiles["molecule_id"].to_numpy()] = 1
-    s = b @ b.T
+    ing = profiles["ingredient_id"].to_numpy()
+    mol = profiles["molecule_id"].to_numpy()
+    chunk_of = mol // _CHUNK
+    s = np.zeros((N_INGREDIENTS + 1, N_INGREDIENTS + 1), dtype=np.int32)
+    b = np.empty((N_INGREDIENTS + 1, _CHUNK), dtype=np.float32)
+    for c in np.unique(chunk_of):
+        sel = chunk_of == c
+        b[:] = 0.0
+        b[ing[sel], mol[sel] - c * _CHUNK] = 1.0
+        for lo in range(0, len(b), _CHUNK):
+            rows = slice(lo, lo + _CHUNK)
+            np.add(s[rows], b[rows] @ b.T, out=s[rows], casting="unsafe")
     np.fill_diagonal(s, 0)
-    return s.astype(np.int32)
+    return s

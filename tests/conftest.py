@@ -10,7 +10,8 @@ import pytest
 
 from repro.culinarydb.corpus import build_corpus, explode_corpus
 from repro.flavordb.profiles import profiles_df
-from repro.core.pairing import shared_matrix, shared_pairs
+from repro.core.pairing import shared_matrix
+from tests.reference import shared_pairs
 
 SEED = 11
 

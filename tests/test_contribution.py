@@ -6,12 +6,14 @@ import pytest
 
 from repro.core.contribution import ingredient_contributions, top_contributors
 from repro.core.pairing import recipe_scores_fast
+from repro.flavordb.profiles import shared_matrix_numpy
+from tests.test_pairing import _MICRO_PROFILES
 
 
 @pytest.fixture(scope="module")
-def contrib(spark, exploded_small, pairs_df):
-    sub = exploded_small.where(F.col("region").isin(["KOR", "SAM"]))
-    df = ingredient_contributions(sub, pairs_df).persist()
+def contrib(spark, corpus_small, overlap_matrix):
+    sub = corpus_small.where(F.col("region").isin(["KOR", "SAM"]))
+    df = ingredient_contributions(sub, overlap_matrix).persist()
     df.count()
     yield df
     df.unpersist()
@@ -28,6 +30,38 @@ def _brute_force_ns_without(corpus_pdf: pd.DataFrame, matrix: np.ndarray, ing: i
         arr = np.asarray(members)
         scores.append(matrix[np.ix_(arr, arr)].sum() / (n * (n - 1)))
     return float(np.mean(scores))
+
+
+def test_chi_micro(spark):
+    """Hand-computed χ over the micro profiles: |F_0∩F_1| = 2, 0 elsewhere.
+
+    X = {0,1,2}, {0,1}: scores 2/3 and 2, N_s^C = 4/3.  Removing 0 (or 1)
+    leaves {1,2} (or {0,2}) at 0 and drops {0,1}; removing 2 leaves {0,1}
+    twice.  Y = {0,1}: removing either member empties it.  Z = {0,2},
+    {1,2}: N_s^C = 0.
+    """
+    recipes = spark.createDataFrame(pd.DataFrame({
+        "recipe_id": [1, 2, 3, 4, 5],
+        "region": ["X", "X", "Y", "Z", "Z"],
+        "n": [3, 2, 2, 2, 2],
+        "ingredients": [[0, 1, 2], [0, 1], [0, 1], [0, 2], [1, 2]],
+    }))
+    got = {
+        (r["region"], r["ingredient_id"]): r
+        for r in ingredient_contributions(recipes, shared_matrix_numpy(_MICRO_PROFILES)).collect()
+    }
+    for ing, n_containing, ns_without, chi in ((0, 2, 0.0, 100.0), (1, 2, 0.0, 100.0), (2, 1, 2.0, -50.0)):
+        row = got[("X", ing)]
+        assert row["n_containing"] == n_containing
+        assert row["ns_c"] == pytest.approx(4 / 3)
+        assert row["ns_without"] == pytest.approx(ns_without)
+        assert row["chi"] == pytest.approx(chi)
+    for ing in (0, 1):
+        assert got[("Y", ing)]["ns_without"] is None
+        assert got[("Y", ing)]["chi"] is None
+    assert got[("Z", 0)]["ns_c"] == 0.0
+    assert got[("Z", 0)]["ns_without"] == 0.0
+    assert got[("Z", 0)]["chi"] is None
 
 
 def test_chi_matches_brute_force(spark, corpus_small, contrib, overlap_matrix):

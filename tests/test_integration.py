@@ -10,8 +10,9 @@ import pyspark.sql.functions as F
 import pytest
 
 from repro.aliasing.mapper import alias_phrases
-from repro.core.pairing import cuisine_scores, recipe_scores_fast, recipe_scores_join
+from repro.core.pairing import cuisine_scores, recipe_scores_fast
 from repro.culinarydb.phrases import phrases_df
+from tests.reference import recipe_scores_join
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,4 @@
-"""Food-pairing score N_s^R: formula, both Spark paths, DuckDB oracle."""
+"""Food-pairing score N_s^R: formula, the kernel vs the join reference, DuckDB oracle."""
 import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
@@ -7,13 +7,13 @@ import pytest
 from repro.core.pairing import (
     PAD_ID,
     cuisine_scores,
+    member_overlap,
     recipe_scores_fast,
-    recipe_scores_join,
     shared_matrix,
-    shared_pairs,
 )
-from repro.flavordb.profiles import profiles_df, shared_matrix_numpy
+from repro.flavordb.profiles import shared_matrix_numpy
 from repro.oracle import assert_equivalent
+from tests.reference import recipe_scores_join, shared_pairs
 
 # --- hand-built micro fixture: 3 ingredients, known overlaps -------------
 # F_0 = {0,1,2}, F_1 = {1,2,3}, F_2 = {9}
@@ -24,6 +24,10 @@ _MICRO_PROFILES = pd.DataFrame(
         "molecule_id": [0, 1, 2, 1, 2, 3, 9],
     }
 )
+
+
+def _micro_matrix() -> np.ndarray:
+    return shared_matrix_numpy(_MICRO_PROFILES)
 
 
 @pytest.fixture(scope="module")
@@ -70,10 +74,14 @@ def test_recipe_score_zero_overlap_recipe(spark, micro_profiles):
     assert row["score"] == 0.0
 
 
-def test_shared_matrix_matches_numpy_reference(spark, profiles):
+def test_shared_matrix_matches_numpy_reference(spark, profiles, pairs_df):
+    """The B·Bᵀ builder equals a dense fill of the join reference."""
+    pdf = pairs_df.toPandas()
+    ref = np.zeros((PAD_ID + 1, PAD_ID + 1), dtype=np.int32)
+    ref[pdf["i"].to_numpy(), pdf["j"].to_numpy()] = pdf["shared"].to_numpy()
     mat = shared_matrix(spark, profiles)
-    ref = shared_matrix_numpy(profiles.toPandas())
-    assert np.array_equal(mat, ref)
+    assert mat.dtype == np.int32
+    assert np.array_equal(mat, ref + ref.T)
 
 
 def test_shared_matrix_symmetric_zero_diag(overlap_matrix):
@@ -102,7 +110,7 @@ def test_join_path_equals_fast_path(corpus_small, exploded_small, pairs_df, over
 
 
 def test_join_path_matches_duckdb_oracle(exploded_small, profiles):
-    """Full N_s^R from raw profiles in pure SQL vs the Spark join path."""
+    """Full N_s^R from raw profiles in pure SQL vs the Spark join reference."""
     ex = exploded_small.limit(0).sparkSession  # noqa: F841  (fixture warm)
     sample_ids = [r["recipe_id"] for r in exploded_small.select("recipe_id").distinct().limit(60).collect()]
     sub = exploded_small.where(F.col("recipe_id").isin(sample_ids))
@@ -169,3 +177,37 @@ def test_cuisine_scores_match_oracle(corpus_small, overlap_matrix):
         "SELECT region, avg(score) AS ns, count(*) AS n_recipes FROM s GROUP BY region",
         s=scored.toPandas(),
     )
+
+
+# --- member_overlap input checks: one bad row each -------------------------
+def _kernel_batch(bad_ingredients, bad_n=None):
+    ingredients = [[0, 1, 2], [1, 2], bad_ingredients]
+    n = [3, 2, len(bad_ingredients) if bad_n is None else bad_n]
+    return pd.DataFrame({"recipe_id": [5, 6, 7], "n": n, "ingredients": ingredients})
+
+
+def test_member_overlap_values():
+    ids, t = member_overlap(_kernel_batch([0, 1]), _micro_matrix())
+    assert ids.tolist() == [[0, 1, 2], [1, 2, PAD_ID], [0, 1, PAD_ID]]
+    assert t.tolist() == [[2, 2, 0], [0, 0, 0], [2, 2, 0]]
+
+
+def test_member_overlap_rejects_wrong_n():
+    with pytest.raises(ValueError, match="recipe 7: n differs"):
+        member_overlap(_kernel_batch([0, 1], bad_n=3), _micro_matrix())
+
+
+@pytest.mark.parametrize("bad_id", [-1, PAD_ID, PAD_ID + 5])
+def test_member_overlap_rejects_id_out_of_range(bad_id):
+    with pytest.raises(ValueError, match="recipe 7: ingredient id outside"):
+        member_overlap(_kernel_batch([0, bad_id]), _micro_matrix())
+
+
+def test_member_overlap_rejects_duplicate_member():
+    with pytest.raises(ValueError, match="recipe 7: duplicate ingredient"):
+        member_overlap(_kernel_batch([1, 0, 1]), _micro_matrix())
+
+
+def test_member_overlap_rejects_single_ingredient():
+    with pytest.raises(ValueError, match="recipe 7: fewer than 2"):
+        member_overlap(_kernel_batch([2]), _micro_matrix())
