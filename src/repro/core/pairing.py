@@ -10,12 +10,16 @@ pairs; the cuisine score N_s^C is the mean of N_s^R over recipes.
 One overlap matrix and one gather kernel serve every score:
 :func:`shared_matrix` builds the dense (N+1)² int32 |F_i ∩ F_j| matrix
 (≈3.6 MB) as B·Bᵀ of the ingredient × molecule incidence matrix, and
-:func:`member_overlap` gathers each recipe member's overlap T_{R,i} from a
-broadcast copy: for N_s^R here, for χ in :mod:`repro.core.contribution`.
+:func:`padded_overlap` checks a padded (recipes × max size) matrix of
+member ids and gathers each member's overlap T_{R,i} from a broadcast
+copy.  N_s^R here and χ in :mod:`repro.core.contribution` reach it
+through :func:`member_overlap`, which pads a batch of ``ingredients``
+arrays; the randomized cuisines of :mod:`repro.core.zscore` hand it the
+generator's own padded matrix.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -44,15 +48,33 @@ def member_overlap(pdf: pd.DataFrame, matrix: np.ndarray) -> tuple[np.ndarray, n
 
     ``pdf`` has ``recipe_id``, ``n`` and ``ingredients`` per recipe.  Returns
     ``(ids, t)``, (recipes × max size) each: members padded with ``PAD_ID``,
-    and T_{R,i} = Σ_{j ∈ R} |F_i ∩ F_j| (0 in the padding).  Raises
-    ``ValueError`` naming a recipe whose ``n`` is not its member count, or
-    with an id outside [0, N_INGREDIENTS), a repeated member or n < 2.
+    and T_{R,i} from :func:`padded_overlap`, which checks the recipes and
+    names a bad one by its ``recipe_id``.
     """
     lengths = pdf["ingredients"].map(len).to_numpy()
     ids = np.full((len(pdf), lengths.max()), PAD_ID, dtype=np.int64)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.concatenate(pdf["ingredients"].to_list())
+    recipe_ids = pdf["recipe_id"].to_numpy()
+    return ids, padded_overlap(
+        ids, lengths, pdf["n"].to_numpy(), lambda row: f"recipe {recipe_ids[row]}", matrix
+    )
+
+
+def padded_overlap(
+    ids: np.ndarray,
+    lengths: np.ndarray,
+    n: np.ndarray,
+    labels: Callable[[int], str],
+    matrix: np.ndarray,
+) -> np.ndarray:
+    """T_{R,i} = Σ_{j ∈ R} |F_i ∩ F_j| for a padded member matrix (0 in the padding).
+
+    Row r of ``ids`` holds recipe r's ``lengths[r]`` members, then ``PAD_ID``;
+    ``n`` is each recipe's stated size.  Raises ``ValueError`` naming the
+    recipe (``labels(r)``) whose ``n`` is not its member count, or with an
+    id outside [0, N_INGREDIENTS), a repeated member or n < 2.
+    """
     real = np.arange(ids.shape[1]) < lengths[:, None]
-    ids[real] = np.concatenate(pdf["ingredients"].to_list())
-    n = pdf["n"].to_numpy()
     out_of_range = (real & ((ids < 0) | (ids >= PAD_ID))).any(axis=1)
     ordered = np.sort(ids, axis=1)
     repeated = ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != PAD_ID)).any(axis=1)
@@ -63,10 +85,10 @@ def member_overlap(pdf: pd.DataFrame, matrix: np.ndarray) -> tuple[np.ndarray, n
         (n < 2, "fewer than 2 ingredients"),
     ):
         if bad.any():
-            raise ValueError(f"recipe {pdf['recipe_id'].iloc[bad.argmax()]}: {what}")
+            raise ValueError(f"{labels(int(bad.argmax()))}: {what}")
     # The diagonal and the padding row/column are zero, so padding and a
     # member's pair with itself add nothing.
-    return ids, matrix[ids[:, :, None], ids[:, None, :]].sum(axis=2)
+    return matrix[ids[:, :, None], ids[:, None, :]].sum(axis=2)
 
 
 def recipe_scores_fast(recipes: DataFrame, matrix: np.ndarray) -> DataFrame:

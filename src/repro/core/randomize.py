@@ -13,9 +13,12 @@ size distribution; they differ in how recipe ingredients are drawn:
 Model inputs (pools, frequencies, sizes, per-recipe category
 compositions) are derived from the corpus with Spark aggregations;
 recipe generation itself is Spark-parallel ``mapInPandas`` over a
-(region, batch) plan, using vectorized Gumbel top-k weighted sampling
-without replacement.  Output is deterministic in (seed, region, model,
-batch start) regardless of partitioning.
+(region, model, batch) plan, using vectorized Gumbel top-k weighted
+sampling without replacement (Efraimidis & Spirakis, IPL 2006).  Each
+batch comes out as a (count × max size) member matrix padded with
+``PAD_ID``, the layout :func:`repro.core.pairing.padded_overlap` scores.
+Output is deterministic in (seed, region, model, batch start) regardless
+of partitioning.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
-import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import (
     ArrayType,
@@ -36,6 +38,7 @@ from pyspark.sql.types import (
     StructType,
 )
 
+from repro.core.pairing import PAD_ID
 from repro.culinarydb.corpus import explode_corpus
 from repro.flavordb.ingredients import CATEGORIES, ingredient_master
 
@@ -51,13 +54,7 @@ RANDOM_SCHEMA = StructType(
     ]
 )
 
-_PLAN_SCHEMA = StructType(
-    [
-        StructField("code", StringType()),
-        StructField("start", IntegerType()),
-        StructField("count", IntegerType()),
-    ]
-)
+_PLAN_SCHEMA = "region string, model string, start int, count int"
 
 
 @dataclass
@@ -120,25 +117,39 @@ def region_model_inputs(
     return out
 
 
+def _beyond_size(ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``ids`` with every slot at or past its row's size set to ``PAD_ID``."""
+    ids[np.arange(ids.shape[1]) >= sizes[:, None]] = PAD_ID
+    return ids
+
+
 def _uniform_or_freq_batch(
     rng: np.random.Generator, inp: RegionInputs, count: int, weighted: bool
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """`random` / `frequency` model: one Gumbel top-k per recipe."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """`random` / `frequency` model: one Gumbel top-k per recipe.
+
+    Returns ``(sizes, ids)``: ids is (count × max size), each row's
+    members in key order, then ``PAD_ID``.
+    """
     sizes = rng.choice(inp.sizes, size=count)
     log_w = np.log(inp.counts) if weighted else np.zeros(len(inp.pool))
     keys = log_w[None, :] + rng.gumbel(size=(count, len(inp.pool)))
-    order = np.argsort(-keys, axis=1)
-    return sizes, [inp.pool[order[i, : sizes[i]]] for i in range(count)]
+    order = np.argsort(-keys, axis=1)[:, : sizes.max()]
+    return sizes, _beyond_size(inp.pool[order], sizes)
 
 
 def _category_batch(
     rng: np.random.Generator, inp: RegionInputs, count: int, weighted: bool
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """`category` / `freq_cat` model: preserve a real recipe's composition."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """`category` / `freq_cat` model: preserve a real recipe's composition.
+
+    Returns ``(sizes, ids)`` like :func:`_uniform_or_freq_batch`, each
+    row's members grouped by category in category order.
+    """
     templates = rng.integers(0, len(inp.cat_comp), size=count)
     comp = inp.cat_comp[templates]  # (count, 21)
     sizes = comp.sum(axis=1).astype(np.int64)
-    picks: list[list[np.ndarray]] = [[] for _ in range(count)]
+    blocks = []
     for c in range(comp.shape[1]):
         k_vec = comp[:, c]
         rows = np.nonzero(k_vec)[0]
@@ -149,10 +160,58 @@ def _category_batch(
             np.log(inp.counts[members]) if weighted else np.zeros(len(members))
         )
         keys = log_w[None, :] + rng.gumbel(size=(len(rows), len(members)))
-        order = np.argsort(-keys, axis=1)
-        for r_i, row in enumerate(rows):
-            picks[row].append(inp.pool[members[order[r_i, : k_vec[row]]]])
-    return sizes, [np.concatenate(p) for p in picks]
+        k = k_vec[rows]
+        order = np.argsort(-keys, axis=1)[:, : k.max()]
+        block = np.full((count, k.max()), PAD_ID, dtype=np.int64)
+        block[rows] = _beyond_size(inp.pool[members[order]], k)
+        blocks.append(block)
+    ids = np.concatenate(blocks, axis=1)
+    # A stable sort on "is padding" moves each row's members to its front
+    # and keeps their category order.
+    ids = np.take_along_axis(ids, np.argsort(ids == PAD_ID, axis=1, kind="stable"), axis=1)
+    return sizes, ids[:, : sizes.max()]
+
+
+def model_batch(
+    inp: RegionInputs, model: str, start: int, count: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Recipes ``start`` to ``start + count`` of ``model`` for one cuisine.
+
+    Returns ``(sizes, ids)``, ids (count × max size) padded with
+    ``PAD_ID``.  The random stream is keyed on (seed, region, model,
+    start) alone, so a batch is the same whichever task draws it.
+    """
+    rng = np.random.default_rng(
+        [seed, zlib.crc32(inp.code.encode()), zlib.crc32(model.encode()), start]
+    )
+    if model in ("random", "frequency"):
+        return _uniform_or_freq_batch(rng, inp, count, model == "frequency")
+    return _category_batch(rng, inp, count, model == "freq_cat")
+
+
+def batch_plan(
+    spark: SparkSession,
+    inputs: dict[str, RegionInputs],
+    models: tuple[str, ...],
+    n_rand: int,
+    batch_size: int = 5000,
+) -> DataFrame:
+    """One row per (region, model, start, count) batch of ``n_rand`` recipes.
+
+    Rows are spread round-robin over up to twice the default parallelism.
+    """
+    unknown = set(models) - set(MODELS)
+    if unknown:
+        raise ValueError(f"unknown model {sorted(unknown)}; expected one of {MODELS}")
+    plan_rows = [
+        (code, model, start, min(batch_size, n_rand - start))
+        for code in sorted(inputs)
+        for model in models
+        for start in range(0, n_rand, batch_size)
+    ]
+    return spark.createDataFrame(plan_rows, _PLAN_SCHEMA).repartition(
+        max(1, min(len(plan_rows), spark.sparkContext.defaultParallelism * 2))
+    )
 
 
 def random_recipes(
@@ -166,43 +225,27 @@ def random_recipes(
     """``n_rand`` randomized recipes per region under ``model``.
 
     Same schema as the real corpus, so :func:`repro.core.pairing.
-    recipe_scores_fast` scores both identically.  Generation and any
-    downstream mapInPandas scoring fuse into one shuffle-free stage.
+    recipe_scores_fast` scores both identically.  ``recipe_id`` is unique
+    across regions: region k of ``sorted(inputs)`` holds ids k·n_rand to
+    (k+1)·n_rand − 1.  Fig. 4 does not use this view: it scores the same
+    :func:`model_batch` recipes where they are drawn
+    (:func:`repro.core.zscore.model_moments`).
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
-    plan_rows = [
-        (code, start, min(batch_size, n_rand - start))
-        for code in sorted(inputs)
-        for start in range(0, n_rand, batch_size)
-    ]
-    plan = spark.createDataFrame(plan_rows, _PLAN_SCHEMA).repartition(
-        max(1, min(len(plan_rows), spark.sparkContext.defaultParallelism * 2))
-    )
+    plan = batch_plan(spark, inputs, (model,), n_rand, batch_size)
+    first_id = {code: k * n_rand for k, code in enumerate(sorted(inputs))}
     bc = spark.sparkContext.broadcast(inputs)
 
     def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         inps = bc.value
         for pdf in batches:
-            for code, start, count in pdf.itertuples(index=False):
-                inp = inps[code]
-                rng = np.random.default_rng(
-                    [seed, zlib.crc32(code.encode()), zlib.crc32(model.encode()), start]
-                )
-                if model in ("random", "frequency"):
-                    sizes, recs = _uniform_or_freq_batch(
-                        rng, inp, int(count), model == "frequency"
-                    )
-                else:
-                    sizes, recs = _category_batch(
-                        rng, inp, int(count), model == "freq_cat"
-                    )
+            for code, _, start, count in pdf.itertuples(index=False):
+                sizes, ids = model_batch(inps[code], model, start, count, seed)
                 yield pd.DataFrame(
                     {
-                        "recipe_id": start + np.arange(count),
+                        "recipe_id": first_id[code] + start + np.arange(count),
                         "region": code,
                         "n": sizes.astype(np.int32),
-                        "ingredients": [r.astype(np.int64) for r in recs],
+                        "ingredients": [row[:size] for row, size in zip(ids, sizes)],
                     }
                 )
 

@@ -12,17 +12,81 @@ pattern; one near 0 does not.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.pairing import cuisine_scores, recipe_scores_fast
-from repro.core.randomize import MODELS, RegionInputs, random_recipes, region_model_inputs
+from repro.core.pairing import cuisine_scores, padded_overlap, recipe_scores_fast
+from repro.core.randomize import (
+    MODELS,
+    RegionInputs,
+    batch_plan,
+    model_batch,
+    region_model_inputs,
+)
+
+_MOMENTS_SCHEMA = "region string, model string, start int, count int, mean double, m2 double"
 
 
-def _cuisine_stats(recipes: DataFrame, matrix: np.ndarray) -> pd.DataFrame:
-    """(region, ns, sigma, n_recipes) for a recipe DataFrame."""
-    return cuisine_scores(recipe_scores_fast(recipes, matrix)).toPandas()
+def model_moments(
+    plan: DataFrame,
+    inputs: dict[str, RegionInputs],
+    matrix: np.ndarray,
+    seed: int,
+) -> pd.DataFrame:
+    """(region, model, ns, sigma, n_recipes) of the randomized cuisines.
+
+    ``plan`` is a :func:`repro.core.randomize.batch_plan`.  One
+    ``mapInPandas`` pass draws each batch with
+    :func:`repro.core.randomize.model_batch`, scores it with
+    :func:`repro.core.pairing.padded_overlap` (which checks every recipe)
+    and emits only its (count, mean, M2); no random recipe leaves the
+    Python worker.  :func:`merge_moments` combines the batches on the
+    driver.
+    """
+    spark = plan.sparkSession
+    bc_inputs = spark.sparkContext.broadcast(inputs)
+    bc_matrix = spark.sparkContext.broadcast(matrix)
+
+    def moments(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        inps, s = bc_inputs.value, bc_matrix.value
+        for pdf in batches:
+            rows = []
+            for code, model, start, count in pdf.itertuples(index=False):
+                sizes, ids = model_batch(inps[code], model, start, count, seed)
+                t = padded_overlap(
+                    ids, sizes, sizes,
+                    lambda row: f"region {code}, model {model}, recipe {start + row}", s,
+                )
+                score = t.sum(axis=1) / (sizes * (sizes - 1.0))
+                mean = score.mean()
+                rows.append((code, model, start, count, mean, ((score - mean) ** 2).sum()))
+            yield pd.DataFrame(rows, columns=["region", "model", "start", "count", "mean", "m2"])
+
+    return merge_moments(plan.mapInPandas(moments, _MOMENTS_SCHEMA).toPandas())
+
+
+def merge_moments(batches: pd.DataFrame) -> pd.DataFrame:
+    """Merge per-batch (count, mean, m2) rows into (region, model, ns, sigma, n_recipes).
+
+    Each (region, model) folds its batches in ``start`` order with the
+    pairwise update of Chan, Golub & LeVeque (1979), so the result does
+    not depend on the order of the rows.  ``sigma`` is the population
+    standard deviation, sqrt(M2 / count).
+    """
+    out = []
+    for (region, model), g in batches.sort_values("start").groupby(["region", "model"]):
+        n = mean = m2 = 0.0
+        for count, batch_mean, batch_m2 in g[["count", "mean", "m2"]].itertuples(index=False):
+            total = n + count
+            delta = batch_mean - mean
+            mean += delta * count / total
+            m2 += batch_m2 + delta * delta * n * count / total
+            n = total
+        out.append((region, model, mean, np.sqrt(m2 / n), int(n)))
+    return pd.DataFrame(out, columns=["region", "model", "ns", "sigma", "n_recipes"])
 
 
 def food_pairing_table(
@@ -42,21 +106,20 @@ def food_pairing_table(
     ('uniform' for Z > 0, 'contrasting' for Z < 0).
 
     ``matrix`` is the broadcast overlap matrix from
-    :func:`repro.core.pairing.shared_matrix`.
+    :func:`repro.core.pairing.shared_matrix`.  The real cuisines are
+    scored recipe by recipe; all models' random recipes go through one
+    :func:`model_moments` pass.
     """
     if "random" not in models:
         raise ValueError("the Random Cuisine baseline is required")
     if inputs is None:
         inputs = region_model_inputs(spark, corpus)
 
-    real = _cuisine_stats(corpus, matrix).rename(
+    real = cuisine_scores(recipe_scores_fast(corpus, matrix)).toPandas().rename(
         columns={"ns": "ns_real", "sigma": "sigma_real", "n_recipes": "n_recipes_real"}
     )
-    model_stats: dict[str, pd.DataFrame] = {}
-    for model in models:
-        model_stats[model] = _cuisine_stats(
-            random_recipes(spark, inputs, model, n_rand, seed), matrix
-        )
+    moments = model_moments(batch_plan(spark, inputs, models, n_rand), inputs, matrix, seed)
+    model_stats = {model: g for model, g in moments.groupby("model")}
 
     rand = model_stats["random"].rename(
         columns={"ns": "ns_random", "sigma": "sigma_random"}

@@ -3,12 +3,15 @@ import numpy as np
 import pyspark.sql.functions as F
 import pytest
 
+from repro.core.pairing import PAD_ID
 from repro.core.randomize import (
     MODELS,
+    model_batch,
     random_recipes,
     region_model_inputs,
 )
 from repro.flavordb.ingredients import CATEGORIES, ingredient_master
+from tests.reference import model_batch_loop
 
 N_RAND = 800
 REGION_SUBSET = ("ITA", "KOR")
@@ -55,6 +58,11 @@ def test_ingredient_set_preserved(model_output, inputs):
     }
     for region, inp in inputs.items():
         assert used[region] <= set(inp.pool.tolist())
+
+
+def test_recipe_ids_unique_across_regions(model_output):
+    model, df = model_output
+    assert df.select("recipe_id").distinct().count() == df.count() == N_RAND * len(REGION_SUBSET)
 
 
 def test_no_duplicates_within_recipe(model_output):
@@ -137,6 +145,18 @@ def test_generation_deterministic(spark, inputs):
         "region", "recipe_id"
     ).collect()
     assert [r["ingredients"] for r in a] == [r["ingredients"] for r in b]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_padded_batch_equals_loop_reference(inputs, model):
+    """The padded generators draw exactly the recipes of the per-recipe loop."""
+    for inp in inputs.values():
+        sizes, ids = model_batch(inp, model, 5000, 700, seed=3)
+        ref_sizes, ref = model_batch_loop(inp, model, 5000, 700, seed=3)
+        assert np.array_equal(sizes, ref_sizes)
+        assert ids.shape[1] == sizes.max()
+        assert (ids[np.arange(ids.shape[1]) >= sizes[:, None]] == PAD_ID).all()
+        assert [row[:size].tolist() for row, size in zip(ids, sizes)] == [r.tolist() for r in ref]
 
 
 def test_unknown_model_rejected(spark, inputs):
