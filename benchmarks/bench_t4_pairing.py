@@ -23,16 +23,3 @@ def test_bench_t4_food_pairing(benchmark, spark, bench_corpus, bench_matrix):
     scored = table[table["region"] != "OTHER"]
     ok = (np.sign(scored["z_real"]) == scored["region"].map(signs)).sum()
     assert ok >= 20  # sign reproduction even at bench scale
-
-
-def test_bench_t4_scoring_only(benchmark, spark, bench_corpus, bench_matrix):
-    """Just the recipe-scoring kernel over the real corpus."""
-    from repro.core.pairing import cuisine_scores, recipe_scores_fast
-
-    def work():
-        return cuisine_scores(
-            recipe_scores_fast(bench_corpus, bench_matrix)
-        ).collect()
-
-    result = benchmark(work)
-    assert len(result) == 23

@@ -1,27 +1,14 @@
 """Shared session/bootstrap for spark-submit job entrypoints.
 
-Jobs are thin wrappers over library functions that take a SparkSession;
-this module owns session construction (mirroring conftest.py's settings)
-and the common CLI flags.
+Jobs are thin wrappers over library functions that take a SparkSession
+from :func:`repro.session.get_spark` (re-exported here for
+``perfbench/run.py``); this module adds the common CLI flags.
 """
 from __future__ import annotations
 
 import argparse
 
-from pyspark.sql import SparkSession
-
-
-def get_spark(app: str) -> SparkSession:
-    """A local session configured like the test fixture."""
-    spark = (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-    spark.sparkContext.setLogLevel("WARN")
-    return spark
+from repro.session import get_spark  # noqa: F401 — re-exported
 
 
 def base_parser(description: str) -> argparse.ArgumentParser:

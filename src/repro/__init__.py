@@ -8,5 +8,6 @@ Package layout (see DESIGN.md):
 * :mod:`repro.culinarydb` — synthetic recipe-corpus substrate;
 * :mod:`repro.aliasing`   — ingredient-phrase aliasing pipeline;
 * :mod:`repro.core`       — food-pairing analysis (the contribution);
-* :mod:`repro.oracle`     — DuckDB result-equality checker.
+* :mod:`repro.oracle`     — DuckDB result-equality checker;
+* :mod:`repro.session`    — the SparkSession factory of jobs and tests.
 """

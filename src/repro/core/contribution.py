@@ -14,6 +14,7 @@ decomposition:
 where S_R is R's total pair overlap and T_{R,i} the overlap of pairs
 involving i, both from the gather kernel
 :func:`repro.core.pairing.member_overlap` in one ``mapInPandas`` pass.
+N_s^C comes from the same pass: ``lead`` marks each recipe's first member.
 """
 from __future__ import annotations
 
@@ -22,12 +23,12 @@ from typing import Iterator
 import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 
-from repro.core.pairing import PAD_ID, cuisine_scores, member_overlap, recipe_scores_fast
+from repro.core.pairing import PAD_ID, member_overlap
 from repro.flavordb.ingredients import ingredient_master
 
-_MEMBER_SCHEMA = "region string, ingredient_id long, score double, adj double, dropped int"
+_MEMBER_SCHEMA = "region string, ingredient_id long, score double, adj double, dropped int, lead int"
 
 
 def ingredient_contributions(recipes: DataFrame, matrix: np.ndarray) -> DataFrame:
@@ -53,13 +54,14 @@ def ingredient_contributions(recipes: DataFrame, matrix: np.ndarray) -> DataFram
             pair_sum = t.sum(axis=1, keepdims=True)  # 2 S_R
             adj = np.where(n >= 3, (pair_sum - 2 * t) / np.maximum((n - 1) * (n - 2), 1), 0.0)
             real = ids != PAD_ID
-            rows = np.nonzero(real)[0]
+            rows, slots = np.nonzero(real)
             yield pd.DataFrame({
                 "region": pdf["region"].to_numpy()[rows],
                 "ingredient_id": ids[real],
                 "score": (pair_sum / (n * (n - 1)))[rows, 0],
                 "adj": adj[real],
                 "dropped": (n[rows, 0] == 2).astype(np.int32),
+                "lead": (slots == 0).astype(np.int32),
             })
 
     per_ing = (
@@ -70,18 +72,18 @@ def ingredient_contributions(recipes: DataFrame, matrix: np.ndarray) -> DataFram
             F.sum("score").alias("sum_orig"),
             F.sum("adj").alias("sum_adj"),
             F.sum("dropped").alias("n_dropped"),
+            F.sum("lead").alias("n_lead"),
+            F.sum(F.col("lead") * F.col("score")).alias("lead_score"),
         )
     )
-    region_tot = cuisine_scores(recipe_scores_fast(recipes, matrix)).select(
-        "region", F.col("ns").alias("ns_c"), F.col("n_recipes").alias("n_r")
-    )
-
-    remaining = F.col("n_r") - F.col("n_dropped")
-    total = F.col("ns_c") * F.col("n_r")
+    region = Window.partitionBy("region")
+    n_r, total = F.sum("n_lead").over(region), F.sum("lead_score").over(region)
+    ns_c = total / n_r
+    remaining = n_r - F.col("n_dropped")
     ns_without = F.when(remaining > 0, (total - F.col("sum_orig") + F.col("sum_adj")) / remaining)
-    chi = F.when(F.col("ns_c") != 0, 100.0 * (F.col("ns_c") - ns_without) / F.col("ns_c"))
-    return per_ing.join(region_tot, on="region").select(
-        "region", "ingredient_id", "n_containing", "ns_c",
+    chi = F.when(ns_c != 0, 100.0 * (ns_c - ns_without) / ns_c)
+    return per_ing.select(
+        "region", "ingredient_id", "n_containing", ns_c.alias("ns_c"),
         ns_without.alias("ns_without"), chi.alias("chi"),
     )
 

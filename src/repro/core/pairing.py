@@ -12,20 +12,19 @@ One overlap matrix and one gather kernel serve every score:
 (≈3.6 MB) as B·Bᵀ of the ingredient × molecule incidence matrix, and
 :func:`padded_overlap` checks a padded (recipes × max size) matrix of
 member ids and gathers each member's overlap T_{R,i} from a broadcast
-copy.  N_s^R here and χ in :mod:`repro.core.contribution` reach it
-through :func:`member_overlap`, which pads a batch of ``ingredients``
-arrays; the randomized cuisines of :mod:`repro.core.zscore` hand it the
-generator's own padded matrix.
+copy.  χ in :mod:`repro.core.contribution` reaches it through
+:func:`member_overlap`, which pads a batch of ``ingredients`` arrays with
+:func:`pad_members`; the Fig. 4 stage of :mod:`repro.core.zscore` hands
+it the real recipes padded once by the same helper and the generators'
+own padded matrices, so N_s^R, N_s^C, σ and χ all come from this kernel.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 import pandas as pd
-import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import DoubleType, StructField, StructType
 
 from repro.flavordb.ingredients import N_INGREDIENTS
 from repro.flavordb.profiles import shared_matrix_numpy
@@ -43,17 +42,24 @@ def shared_matrix(spark: SparkSession, profiles: DataFrame) -> np.ndarray:
     return shared_matrix_numpy(profiles.toPandas())
 
 
+def pad_members(ingredients: pd.Series) -> tuple[np.ndarray, np.ndarray]:
+    """(recipes × max size) member ids, each row's members then ``PAD_ID``,
+    and each recipe's member count."""
+    lengths = ingredients.map(len).to_numpy()
+    ids = np.full((len(ingredients), lengths.max()), PAD_ID, dtype=np.int64)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.concatenate(ingredients.to_list())
+    return ids, lengths
+
+
 def member_overlap(pdf: pd.DataFrame, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Padded member ids and each member's overlap with the rest of its recipe.
 
     ``pdf`` has ``recipe_id``, ``n`` and ``ingredients`` per recipe.  Returns
-    ``(ids, t)``, (recipes × max size) each: members padded with ``PAD_ID``,
-    and T_{R,i} from :func:`padded_overlap`, which checks the recipes and
-    names a bad one by its ``recipe_id``.
+    ``(ids, t)``, (recipes × max size) each: members padded with ``PAD_ID``
+    by :func:`pad_members`, and T_{R,i} from :func:`padded_overlap`, which
+    checks the recipes and names a bad one by its ``recipe_id``.
     """
-    lengths = pdf["ingredients"].map(len).to_numpy()
-    ids = np.full((len(pdf), lengths.max()), PAD_ID, dtype=np.int64)
-    ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.concatenate(pdf["ingredients"].to_list())
+    ids, lengths = pad_members(pdf["ingredients"])
     recipe_ids = pdf["recipe_id"].to_numpy()
     return ids, padded_overlap(
         ids, lengths, pdf["n"].to_numpy(), lambda row: f"recipe {recipe_ids[row]}", matrix
@@ -89,39 +95,3 @@ def padded_overlap(
     # The diagonal and the padding row/column are zero, so padding and a
     # member's pair with itself add nothing.
     return matrix[ids[:, :, None], ids[:, None, :]].sum(axis=2)
-
-
-def recipe_scores_fast(recipes: DataFrame, matrix: np.ndarray) -> DataFrame:
-    """N_s^R per recipe via the broadcast overlap matrix.
-
-    ``recipes`` must carry ``recipe_id``, ``n`` and ``ingredients``; output is
-    the input schema plus a ``score`` column.  The matrix is shipped with
-    ``SparkContext.broadcast`` (one copy per executor, not per task).
-    """
-    spark = recipes.sparkSession
-    bc = spark.sparkContext.broadcast(matrix)
-    # StructType.add mutates in place — copy the field list instead of
-    # appending to the input DataFrame's live schema object.
-    out_schema = StructType(
-        list(recipes.schema.fields) + [StructField("score", DoubleType())]
-    )
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        s = bc.value
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            _, t = member_overlap(pdf, s)
-            sizes = pdf["n"].to_numpy()
-            yield pdf.assign(score=t.sum(axis=1) / (sizes * (sizes - 1.0)))
-
-    return recipes.mapInPandas(run, out_schema)
-
-
-def cuisine_scores(recipe_scores: DataFrame) -> DataFrame:
-    """Per-region N_s^C, recipe-score standard deviation and recipe count."""
-    return recipe_scores.groupBy("region").agg(
-        F.avg("score").alias("ns"),
-        F.stddev_pop("score").alias("sigma"),
-        F.count("*").alias("n_recipes"),
-    )

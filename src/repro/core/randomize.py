@@ -10,49 +10,35 @@ size distribution; they differ in how recipe ingredients are drawn:
 * ``freq_cat``  — category composition preserved *and* ingredients
   frequency-weighted within each category.
 
-Model inputs (pools, frequencies, sizes, per-recipe category
-compositions) are derived from the corpus with Spark aggregations;
-recipe generation itself is Spark-parallel ``mapInPandas`` over a
-(region, model, batch) plan, using vectorized Gumbel top-k weighted
-sampling without replacement (Efraimidis & Spirakis, IPL 2006).  Each
-batch comes out as a (count × max size) member matrix padded with
-``PAD_ID``, the layout :func:`repro.core.pairing.padded_overlap` scores.
-Output is deterministic in (seed, region, model, batch start) regardless
-of partitioning.
+Model inputs (pools, frequencies, sizes, the real recipes) are derived
+from the corpus with Spark aggregations; :func:`batch_plan` lists
+(region, model, batch) rows for the models and for ``REAL``, the
+cuisine's own recipes.  Random batches use vectorized Gumbel top-k
+weighted sampling without replacement (Efraimidis & Spirakis, IPL 2006).
+Each batch is a (count × max size) member matrix padded with ``PAD_ID``,
+the layout :func:`repro.core.pairing.padded_overlap` scores, and depends
+on (seed, region, model, batch start) and the inputs alone.
 """
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import (
-    ArrayType,
-    IntegerType,
-    LongType,
-    StringType,
-    StructField,
-    StructType,
-)
 
-from repro.core.pairing import PAD_ID
+from repro.core.pairing import PAD_ID, pad_members
 from repro.culinarydb.corpus import explode_corpus
 from repro.flavordb.ingredients import CATEGORIES, ingredient_master
 
 #: The four models, in the paper's order.
 MODELS = ("random", "frequency", "category", "freq_cat")
 
-RANDOM_SCHEMA = StructType(
-    [
-        StructField("recipe_id", LongType()),
-        StructField("region", StringType()),
-        StructField("n", IntegerType()),
-        StructField("ingredients", ArrayType(LongType())),
-    ]
-)
+#: The real cuisine, planned and scored like a model: its own recipes.
+REAL = "real"
+
+#: Recipes per (region, model) batch of the plan.
+BATCH_SIZE = 5000
 
 _PLAN_SCHEMA = "region string, model string, start int, count int"
 
@@ -61,27 +47,27 @@ _PLAN_SCHEMA = "region string, model string, start int, count int"
 class RegionInputs:
     """Everything a model needs about one cuisine, all NumPy.
 
-    ``pool``/``counts``/``cat_idx`` are aligned; ``sizes`` is one entry
-    per real recipe; ``cat_comp`` is the (n_recipes × 21) matrix of real
-    per-recipe category compositions.
+    ``pool``/``counts``/``cat_idx`` are aligned; ``sizes``, ``ids`` and
+    ``cat_comp`` have one row per real recipe: its stated size ``n``, its
+    members padded with ``PAD_ID``, and its (× 21) category composition.
     """
 
     code: str
     pool: np.ndarray
     counts: np.ndarray
     sizes: np.ndarray
+    ids: np.ndarray
     cat_idx: np.ndarray
     cat_comp: np.ndarray
 
 
-def region_model_inputs(
-    spark: SparkSession, corpus: DataFrame, seed: int = 7
-) -> dict[str, RegionInputs]:
+def region_model_inputs(spark: SparkSession, corpus: DataFrame) -> dict[str, RegionInputs]:
     """Derive per-region model inputs from the corpus.
 
-    Usage counts come from a distributed explode + groupBy; per-recipe
-    category compositions are computed from the collected recipes (the
-    corpus is the small side — ≤46k rows of short arrays).
+    Usage counts come from a distributed explode + groupBy; the rest is
+    built from the collected recipes (≤46k rows of short arrays).  ``pool``
+    takes the groupBy's row order and ``sizes`` the collect order, so both
+    can change with the corpus's partitioning.
     """
     usage = (
         explode_corpus(corpus)
@@ -90,7 +76,7 @@ def region_model_inputs(
         .toPandas()
     )
     recipes = corpus.select("region", "n", "ingredients").toPandas()
-    master = ingredient_master(seed)
+    master = ingredient_master()
     cat_of = master.set_index("ingredient_id")["category"].map(
         {c: k for k, c in enumerate(CATEGORIES)}
     )
@@ -102,15 +88,16 @@ def region_model_inputs(
         pool = g["ingredient_id"].to_numpy()
         counts = g["count"].to_numpy().astype(np.float64)
         rg = recipes[recipes["region"] == region]
-        sizes = rg["n"].to_numpy().astype(np.int64)
+        ids, _ = pad_members(rg["ingredients"])
+        rows, slots = np.nonzero(ids != PAD_ID)
         comp = np.zeros((len(rg), len(CATEGORIES)), dtype=np.int16)
-        for row, ing in enumerate(rg["ingredients"]):
-            np.add.at(comp[row], cat_arr[np.asarray(ing)], 1)
+        np.add.at(comp, (rows, cat_arr[ids[rows, slots]]), 1)
         out[region] = RegionInputs(
             code=region,
             pool=pool,
             counts=counts,
-            sizes=sizes,
+            sizes=rg["n"].to_numpy().astype(np.int64),
+            ids=ids,
             cat_idx=cat_arr[pool],
             cat_comp=comp,
         )
@@ -178,9 +165,12 @@ def model_batch(
     """Recipes ``start`` to ``start + count`` of ``model`` for one cuisine.
 
     Returns ``(sizes, ids)``, ids (count × max size) padded with
-    ``PAD_ID``.  The random stream is keyed on (seed, region, model,
-    start) alone, so a batch is the same whichever task draws it.
+    ``PAD_ID``.  For ``REAL`` these are the cuisine's own recipes.  The
+    random stream is keyed on (seed, region, model, start) alone, so a
+    batch is the same whichever task draws it.
     """
+    if model == REAL:
+        return inp.sizes[start:start + count], inp.ids[start:start + count]
     rng = np.random.default_rng(
         [seed, zlib.crc32(inp.code.encode()), zlib.crc32(model.encode()), start]
     )
@@ -194,59 +184,24 @@ def batch_plan(
     inputs: dict[str, RegionInputs],
     models: tuple[str, ...],
     n_rand: int,
-    batch_size: int = 5000,
 ) -> DataFrame:
-    """One row per (region, model, start, count) batch of ``n_rand`` recipes.
+    """One row per (region, model, start, count) batch of ≤ ``BATCH_SIZE``.
 
-    Rows are spread round-robin over up to twice the default parallelism.
+    Each randomized model gets ``n_rand`` recipes per region; ``REAL``
+    gets the region's own recipes.  Rows are spread round-robin over up
+    to twice the default parallelism.
     """
-    unknown = set(models) - set(MODELS)
+    unknown = set(models) - {REAL, *MODELS}
     if unknown:
-        raise ValueError(f"unknown model {sorted(unknown)}; expected one of {MODELS}")
-    plan_rows = [
-        (code, model, start, min(batch_size, n_rand - start))
-        for code in sorted(inputs)
-        for model in models
-        for start in range(0, n_rand, batch_size)
-    ]
+        raise ValueError(f"unknown model {sorted(unknown)}; expected {REAL!r} or one of {MODELS}")
+    plan_rows = []
+    for code, inp in sorted(inputs.items()):
+        for model in models:
+            total = len(inp.sizes) if model == REAL else n_rand
+            plan_rows += [
+                (code, model, start, min(BATCH_SIZE, total - start))
+                for start in range(0, total, BATCH_SIZE)
+            ]
     return spark.createDataFrame(plan_rows, _PLAN_SCHEMA).repartition(
         max(1, min(len(plan_rows), spark.sparkContext.defaultParallelism * 2))
     )
-
-
-def random_recipes(
-    spark: SparkSession,
-    inputs: dict[str, RegionInputs],
-    model: str,
-    n_rand: int,
-    seed: int = 17,
-    batch_size: int = 5000,
-) -> DataFrame:
-    """``n_rand`` randomized recipes per region under ``model``.
-
-    Same schema as the real corpus, so :func:`repro.core.pairing.
-    recipe_scores_fast` scores both identically.  ``recipe_id`` is unique
-    across regions: region k of ``sorted(inputs)`` holds ids k·n_rand to
-    (k+1)·n_rand − 1.  Fig. 4 does not use this view: it scores the same
-    :func:`model_batch` recipes where they are drawn
-    (:func:`repro.core.zscore.model_moments`).
-    """
-    plan = batch_plan(spark, inputs, (model,), n_rand, batch_size)
-    first_id = {code: k * n_rand for k, code in enumerate(sorted(inputs))}
-    bc = spark.sparkContext.broadcast(inputs)
-
-    def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        inps = bc.value
-        for pdf in batches:
-            for code, _, start, count in pdf.itertuples(index=False):
-                sizes, ids = model_batch(inps[code], model, start, count, seed)
-                yield pd.DataFrame(
-                    {
-                        "recipe_id": first_id[code] + start + np.arange(count),
-                        "region": code,
-                        "n": sizes.astype(np.int32),
-                        "ingredients": [row[:size] for row, size in zip(ids, sizes)],
-                    }
-                )
-
-    return plan.mapInPandas(gen, RANDOM_SCHEMA)

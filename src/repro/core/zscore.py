@@ -8,7 +8,8 @@ with n_rand = 100,000 randomized recipes.  The same statistic is
 computed for each of the other randomized models (frequency, category,
 frequency+category) to ask which factors *reproduce* the real cuisine's
 deviation: a model whose Z matches the real cuisine's Z explains the
-pattern; one near 0 does not.
+pattern; one near 0 does not.  The real cuisines and all four models
+are scored in one fused stage, :func:`model_moments`.
 """
 from __future__ import annotations
 
@@ -18,9 +19,10 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.core.pairing import cuisine_scores, padded_overlap, recipe_scores_fast
+from repro.core.pairing import PAD_ID, padded_overlap
 from repro.core.randomize import (
     MODELS,
+    REAL,
     RegionInputs,
     batch_plan,
     model_batch,
@@ -36,15 +38,15 @@ def model_moments(
     matrix: np.ndarray,
     seed: int,
 ) -> pd.DataFrame:
-    """(region, model, ns, sigma, n_recipes) of the randomized cuisines.
+    """(region, model, ns, sigma, n_recipes) of the planned cuisines.
 
     ``plan`` is a :func:`repro.core.randomize.batch_plan`.  One
-    ``mapInPandas`` pass draws each batch with
+    ``mapInPandas`` pass takes each batch from
     :func:`repro.core.randomize.model_batch`, scores it with
-    :func:`repro.core.pairing.padded_overlap` (which checks every recipe)
-    and emits only its (count, mean, M2); no random recipe leaves the
-    Python worker.  :func:`merge_moments` combines the batches on the
-    driver.
+    :func:`repro.core.pairing.padded_overlap` (member counts read from the
+    padded matrix, so a recipe whose ``n`` differs fails its checks) and
+    emits only its (count, mean, M2).  :func:`merge_moments` combines the
+    batches on the driver.
     """
     spark = plan.sparkSession
     bc_inputs = spark.sparkContext.broadcast(inputs)
@@ -57,7 +59,7 @@ def model_moments(
             for code, model, start, count in pdf.itertuples(index=False):
                 sizes, ids = model_batch(inps[code], model, start, count, seed)
                 t = padded_overlap(
-                    ids, sizes, sizes,
+                    ids, (ids != PAD_ID).sum(axis=1), sizes,
                     lambda row: f"region {code}, model {model}, recipe {start + row}", s,
                 )
                 score = t.sum(axis=1) / (sizes * (sizes - 1.0))
@@ -96,49 +98,37 @@ def food_pairing_table(
     *,
     n_rand: int = 100_000,
     seed: int = 17,
-    models: tuple[str, ...] = MODELS,
-    inputs: dict[str, RegionInputs] | None = None,
 ) -> pd.DataFrame:
     """The Fig. 4 experiment as a table.
 
-    Columns: region, ns_real, ns_random, sigma_random, z_real, then
-    ns_<model> / z_<model> for every non-random model, and ``pairing``
-    ('uniform' for Z > 0, 'contrasting' for Z < 0).
+    Columns: region, ns_real, sigma_real, n_recipes_real, ns_random,
+    sigma_random, z_real, then ns_<model> / z_<model> for every
+    non-random model, and ``pairing`` ('uniform' for Z > 0,
+    'contrasting' for Z < 0).
 
     ``matrix`` is the broadcast overlap matrix from
-    :func:`repro.core.pairing.shared_matrix`.  The real cuisines are
-    scored recipe by recipe; all models' random recipes go through one
-    :func:`model_moments` pass.
+    :func:`repro.core.pairing.shared_matrix`.  The real cuisines and all
+    models' random recipes are scored in one :func:`model_moments` pass,
+    the real recipes as the plan's ``REAL`` batches.
     """
-    if "random" not in models:
-        raise ValueError("the Random Cuisine baseline is required")
-    if inputs is None:
-        inputs = region_model_inputs(spark, corpus)
+    inputs = region_model_inputs(spark, corpus)
+    plan = batch_plan(spark, inputs, (REAL, *MODELS), n_rand)
+    wide = model_moments(plan, inputs, matrix, seed).pivot(index="region", columns="model")
+    ns, sigma = wide["ns"], wide["sigma"]
 
-    real = cuisine_scores(recipe_scores_fast(corpus, matrix)).toPandas().rename(
-        columns={"ns": "ns_real", "sigma": "sigma_real", "n_recipes": "n_recipes_real"}
-    )
-    moments = model_moments(batch_plan(spark, inputs, models, n_rand), inputs, matrix, seed)
-    model_stats = {model: g for model, g in moments.groupby("model")}
+    def z(model: str) -> pd.Series:
+        return np.sqrt(n_rand) * (ns[model] - ns["random"]) / sigma["random"]
 
-    rand = model_stats["random"].rename(
-        columns={"ns": "ns_random", "sigma": "sigma_random"}
-    )[["region", "ns_random", "sigma_random"]]
-    out = real.merge(rand, on="region")
-    out["z_real"] = (
-        np.sqrt(n_rand) * (out["ns_real"] - out["ns_random"]) / out["sigma_random"]
-    )
-    for model in models:
-        if model == "random":
-            continue
-        ms = model_stats[model].rename(columns={"ns": f"ns_{model}"})[
-            ["region", f"ns_{model}"]
-        ]
-        out = out.merge(ms, on="region")
-        out[f"z_{model}"] = (
-            np.sqrt(n_rand)
-            * (out[f"ns_{model}"] - out["ns_random"])
-            / out["sigma_random"]
-        )
+    out = pd.DataFrame({
+        "ns_real": ns[REAL],
+        "sigma_real": sigma[REAL],
+        "n_recipes_real": wide["n_recipes"][REAL],
+        "ns_random": ns["random"],
+        "sigma_random": sigma["random"],
+        "z_real": z(REAL),
+    })
+    for model in MODELS[1:]:
+        out[f"ns_{model}"] = ns[model]
+        out[f"z_{model}"] = z(model)
     out["pairing"] = np.where(out["z_real"] > 0, "uniform", "contrasting")
-    return out.sort_values("region").reset_index(drop=True)
+    return out.reset_index()

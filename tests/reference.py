@@ -1,22 +1,35 @@
-"""Catalyst join forms of the overlap table and of N_s^R, and the
-per-recipe loop form of the randomized-cuisine generators.
+"""Catalyst join forms of the overlap table and of N_s^R, per-recipe
+DataFrame forms of N_s^R, N_s^C and the random recipes, and the loop
+form of the randomized-cuisine generators.
 
 Reference implementations only: the package builds the overlap matrix
-with :func:`repro.flavordb.profiles.shared_matrix_numpy`, scores recipes
-with :func:`repro.core.pairing.member_overlap` and draws random recipes
-as padded matrices with :func:`repro.core.randomize.model_batch`.  The
-tests check these joins against the DuckDB oracle and the package
-against them.
+with :func:`repro.flavordb.profiles.shared_matrix_numpy` and scores
+padded recipe matrices with :func:`repro.core.pairing.padded_overlap`,
+in one Spark pass per figure.  The tests check these joins against the
+DuckDB oracle and the package against them.
 """
 from __future__ import annotations
 
 import zlib
+from typing import Iterator
 
 import numpy as np
+import pandas as pd
 import pyspark.sql.functions as F
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.types import ArrayType, DoubleType, IntegerType, LongType, StringType, StructField, StructType
 
-from repro.core.randomize import RegionInputs
+from repro.core.pairing import member_overlap
+from repro.core.randomize import RegionInputs, batch_plan, model_batch
+
+RANDOM_SCHEMA = StructType(
+    [
+        StructField("recipe_id", LongType()),
+        StructField("region", StringType()),
+        StructField("n", IntegerType()),
+        StructField("ingredients", ArrayType(LongType())),
+    ]
+)
 
 
 def shared_pairs(profiles: DataFrame) -> DataFrame:
@@ -92,3 +105,74 @@ def model_batch_loop(
         for r_i, row in enumerate(rows):
             picks[row].append(inp.pool[members[order[r_i, : k_vec[row]]]])
     return sizes, [np.concatenate(p) for p in picks]
+
+
+def recipe_scores_fast(recipes: DataFrame, matrix: np.ndarray) -> DataFrame:
+    """N_s^R per recipe via the broadcast overlap matrix.
+
+    ``recipes`` must carry ``recipe_id``, ``n`` and ``ingredients``; output is
+    the input schema plus a ``score`` column.  The matrix is shipped with
+    ``SparkContext.broadcast`` (one copy per executor, not per task).
+    """
+    spark = recipes.sparkSession
+    bc = spark.sparkContext.broadcast(matrix)
+    # StructType.add mutates in place — copy the field list instead of
+    # appending to the input DataFrame's live schema object.
+    out_schema = StructType(
+        list(recipes.schema.fields) + [StructField("score", DoubleType())]
+    )
+
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        s = bc.value
+        for pdf in batches:
+            if len(pdf) == 0:
+                continue
+            _, t = member_overlap(pdf, s)
+            sizes = pdf["n"].to_numpy()
+            yield pdf.assign(score=t.sum(axis=1) / (sizes * (sizes - 1.0)))
+
+    return recipes.mapInPandas(run, out_schema)
+
+
+def cuisine_scores(recipe_scores: DataFrame) -> DataFrame:
+    """Per-region N_s^C, recipe-score standard deviation and recipe count."""
+    return recipe_scores.groupBy("region").agg(
+        F.avg("score").alias("ns"),
+        F.stddev_pop("score").alias("sigma"),
+        F.count("*").alias("n_recipes"),
+    )
+
+
+def random_recipes(
+    spark: SparkSession,
+    inputs: dict[str, RegionInputs],
+    model: str,
+    n_rand: int,
+    seed: int = 17,
+) -> DataFrame:
+    """``n_rand`` randomized recipes per region under ``model``.
+
+    Same schema as the real corpus, so :func:`recipe_scores_fast` scores
+    both identically.  ``recipe_id`` is unique
+    across regions: region k of ``sorted(inputs)`` holds ids k·n_rand to
+    (k+1)·n_rand − 1.
+    """
+    plan = batch_plan(spark, inputs, (model,), n_rand)
+    first_id = {code: k * n_rand for k, code in enumerate(sorted(inputs))}
+    bc = spark.sparkContext.broadcast(inputs)
+
+    def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        inps = bc.value
+        for pdf in batches:
+            for code, _, start, count in pdf.itertuples(index=False):
+                sizes, ids = model_batch(inps[code], model, start, count, seed)
+                yield pd.DataFrame(
+                    {
+                        "recipe_id": first_id[code] + start + np.arange(count),
+                        "region": code,
+                        "n": sizes.astype(np.int32),
+                        "ingredients": [row[:size] for row, size in zip(ids, sizes)],
+                    }
+                )
+
+    return plan.mapInPandas(gen, RANDOM_SCHEMA)

@@ -5,8 +5,8 @@ import pyspark.sql.functions as F
 import pytest
 
 from repro.core.contribution import ingredient_contributions, top_contributors
-from repro.core.pairing import recipe_scores_fast
 from repro.flavordb.profiles import shared_matrix_numpy
+from tests.reference import recipe_scores_fast
 from tests.test_pairing import _MICRO_PROFILES
 
 

@@ -10,9 +10,10 @@ import pyspark.sql.functions as F
 import pytest
 
 from repro.aliasing.mapper import alias_phrases
-from repro.core.pairing import cuisine_scores, recipe_scores_fast
+from repro.core.randomize import REAL, batch_plan, region_model_inputs
+from repro.core.zscore import model_moments
 from repro.culinarydb.phrases import phrases_df
-from tests.reference import recipe_scores_join
+from tests.reference import cuisine_scores, recipe_scores_fast, recipe_scores_join
 
 
 @pytest.fixture(scope="module")
@@ -64,16 +65,18 @@ def test_pairing_scores_identical_through_aliasing(
 def test_cuisine_scores_stable_across_paths(
     spark, corpus_small, exploded_small, pairs_df, overlap_matrix
 ):
-    via_join = (
-        cuisine_scores(recipe_scores_join(exploded_small, pairs_df))
-        .toPandas()
-        .set_index("region")["ns"]
-        .sort_index()
+    """N_s^C, σ and the recipe count: join reference == per-recipe kernel
+    == the fused Fig. 4 stage's ``real`` rows."""
+    inputs = region_model_inputs(spark, corpus_small)
+    via_join, via_fast, via_fused = (
+        df.set_index("region").sort_index()
+        for df in (
+            cuisine_scores(recipe_scores_join(exploded_small, pairs_df)).toPandas(),
+            cuisine_scores(recipe_scores_fast(corpus_small, overlap_matrix)).toPandas(),
+            model_moments(batch_plan(spark, inputs, (REAL,), 1), inputs, overlap_matrix, seed=0),
+        )
     )
-    via_fast = (
-        cuisine_scores(recipe_scores_fast(corpus_small, overlap_matrix))
-        .toPandas()
-        .set_index("region")["ns"]
-        .sort_index()
-    )
-    assert np.abs(via_join - via_fast).max() < 1e-9
+    assert np.abs(via_join["ns"] - via_fast["ns"]).max() < 1e-9
+    assert via_fused["n_recipes"].to_dict() == via_join["n_recipes"].to_dict()
+    for col in ("ns", "sigma"):
+        np.testing.assert_allclose(via_fused[col], via_join[col], rtol=1e-9)

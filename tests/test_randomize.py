@@ -4,14 +4,9 @@ import pyspark.sql.functions as F
 import pytest
 
 from repro.core.pairing import PAD_ID
-from repro.core.randomize import (
-    MODELS,
-    model_batch,
-    random_recipes,
-    region_model_inputs,
-)
+from repro.core.randomize import MODELS, model_batch, region_model_inputs
 from repro.flavordb.ingredients import CATEGORIES, ingredient_master
-from tests.reference import model_batch_loop
+from tests.reference import model_batch_loop, random_recipes
 
 N_RAND = 800
 REGION_SUBSET = ("ITA", "KOR")
@@ -31,13 +26,37 @@ def model_output(request, spark, inputs):
     df.unpersist()
 
 
-def test_inputs_cover_regions(inputs):
+def test_inputs_cover_regions(inputs, corpus_small):
     assert set(inputs) == set(REGION_SUBSET)
-    for inp in inputs.values():
+    recipes = corpus_small.select("region", "ingredients").toPandas()
+    cat_of = ingredient_master().set_index("ingredient_id")["category"].map(
+        {c: k for k, c in enumerate(CATEGORIES)}
+    )
+    for code, inp in inputs.items():
         assert len(inp.pool) == len(inp.counts) == len(inp.cat_idx)
         assert inp.cat_comp.shape == (len(inp.sizes), len(CATEGORIES))
         # category composition row sums equal recipe sizes
         assert np.array_equal(inp.cat_comp.sum(axis=1), inp.sizes)
+        collected = recipes.loc[recipes["region"] == code, "ingredients"]
+        assert len(inp.ids) == len(collected)
+        for row, comp, ing in zip(inp.ids, inp.cat_comp, collected):
+            assert row.tolist() == list(ing) + [PAD_ID] * (len(row) - len(ing))
+            assert comp.tolist() == np.bincount(cat_of.loc[ing], minlength=len(CATEGORIES)).tolist()
+
+
+@pytest.mark.xfail(strict=True, reason="pool takes the groupBy's row order and sizes the collect order")
+def test_model_inputs_independent_of_partitioning(spark, corpus_small, inputs):
+    """The same recipes under other partitioning give the same model inputs."""
+    sub = corpus_small.where(F.col("region").isin(list(REGION_SUBSET))).repartition(3)
+    prev = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", "7")
+    try:
+        other = region_model_inputs(spark, sub)
+    finally:
+        spark.conf.set("spark.sql.shuffle.partitions", prev)
+    for code, inp in inputs.items():
+        for field in ("pool", "counts", "sizes", "ids", "cat_comp"):
+            assert np.array_equal(getattr(other[code], field), getattr(inp, field)), (code, field)
 
 
 def test_model_count_and_schema(model_output):

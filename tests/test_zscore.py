@@ -7,10 +7,11 @@ import pyspark.sql.functions as F
 from pyspark.errors import PythonException
 import pytest
 
-from repro.core.pairing import PAD_ID, cuisine_scores, recipe_scores_fast
-from repro.core.randomize import MODELS, batch_plan, random_recipes, region_model_inputs
+from repro.core.pairing import PAD_ID
+from repro.core.randomize import MODELS, REAL, batch_plan, region_model_inputs
 from repro.core.zscore import food_pairing_table, merge_moments, model_moments
 from repro.regions import by_code
+from tests.reference import cuisine_scores, random_recipes, recipe_scores_fast
 
 #: Two strongly-positive and two strongly-negative regions keep the
 #: subset test fast while covering both regimes.
@@ -78,13 +79,6 @@ def test_z_formula_consistency(table):
         assert row["z_real"] == pytest.approx(z)
 
 
-def test_requires_random_baseline(spark, corpus_small, overlap_matrix):
-    with pytest.raises(ValueError):
-        food_pairing_table(
-            spark, corpus_small, overlap_matrix, n_rand=10, models=("frequency",)
-        )
-
-
 # --- the fused generate→score→moments stage ---------------------------------
 #: Two batches of the default 5,000, the second uneven.
 N_FUSED = 5300
@@ -142,10 +136,17 @@ def test_merge_moments_equals_numpy():
 
 
 def test_model_moments_checks_random_recipes(spark, small_inputs, overlap_matrix):
-    """A bad pool id reaches the kernel's checks inside the fused stage."""
+    """A bad pool id, and a real recipe whose n is not its member count,
+    reach the kernel's checks inside the fused stage."""
     inp = small_inputs["KOR"]
     pool = inp.pool.copy()
     pool[np.argmax(inp.counts)] = PAD_ID + 3
     bad = {**small_inputs, "KOR": dataclasses.replace(inp, pool=pool)}
     with pytest.raises(PythonException, match=r"ValueError: region KOR, model \w+, recipe \d+: ingredient id outside"):
         model_moments(batch_plan(spark, bad, MODELS, 200), bad, overlap_matrix, seed=23)
+
+    sizes = inp.sizes.copy()
+    sizes[4] += 1
+    bad = {**small_inputs, "KOR": dataclasses.replace(inp, sizes=sizes)}
+    with pytest.raises(PythonException, match=r"ValueError: region KOR, model real, recipe 4: n differs"):
+        model_moments(batch_plan(spark, bad, (REAL,), 200), bad, overlap_matrix, seed=23)
