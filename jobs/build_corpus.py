@@ -6,8 +6,16 @@ entrypoint exists for inspection and for reuse outside this repo.
 """
 from __future__ import annotations
 
-from repro.culinarydb.corpus import build_corpus, write_corpus
-from repro.flavordb.profiles import profiles_df
+from pyspark.sql import SparkSession
+
+from repro.culinarydb.corpus import build_corpus
+from repro.flavordb.profiles import profiles
+
+
+def run(spark: SparkSession, out: str, scale: float = 1.0, seed: int = 11) -> None:
+    """Write the corpus to ``out/recipes`` and the profiles to ``out/profiles``."""
+    build_corpus(spark, scale=scale, seed=seed).write.mode("overwrite").parquet(f"{out}/recipes")
+    spark.createDataFrame(profiles()).write.mode("overwrite").parquet(f"{out}/profiles")
 
 
 def main() -> None:
@@ -17,9 +25,7 @@ def main() -> None:
     p.add_argument("--out", required=True, help="output directory")
     args = p.parse_args()
     spark = get_spark("build_corpus")
-    write_corpus(build_corpus(spark, scale=args.scale, seed=args.seed),
-                 f"{args.out}/recipes")
-    profiles_df(spark).write.mode("overwrite").parquet(f"{args.out}/profiles")
+    run(spark, args.out, args.scale, args.seed)
     print(f"corpus and profiles written under {args.out}")
     spark.stop()
 

@@ -14,7 +14,6 @@ from pyspark.sql import SparkSession
 from repro.core.pairing import shared_matrix
 from repro.core.zscore import food_pairing_table
 from repro.culinarydb.corpus import build_corpus
-from repro.flavordb.profiles import profiles_df
 from repro.regions import REGIONS
 
 
@@ -26,7 +25,7 @@ def run(
 ) -> pd.DataFrame:
     corpus = build_corpus(spark, scale=scale, seed=seed).persist()
     corpus.count()
-    matrix = shared_matrix(spark, profiles_df(spark))
+    matrix = shared_matrix()
     table = food_pairing_table(spark, corpus, matrix, n_rand=n_rand, seed=seed + 6)
     signs = {r.code: r.pairing_sign for r in REGIONS}
     table["paper_sign"] = table["region"].map(signs)

@@ -13,13 +13,12 @@ from pyspark.sql import SparkSession
 from repro.core.contribution import ingredient_contributions, top_contributors
 from repro.core.pairing import shared_matrix
 from repro.culinarydb.corpus import build_corpus
-from repro.flavordb.profiles import profiles_df
 from repro.regions import REGIONS
 
 
 def run(spark: SparkSession, scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
     corpus = build_corpus(spark, scale=scale, seed=seed)
-    matrix = shared_matrix(spark, profiles_df(spark))
+    matrix = shared_matrix()
     contrib = ingredient_contributions(
         corpus.where("region != 'OTHER'"), matrix
     )

@@ -88,16 +88,13 @@ def ingredient_contributions(recipes: DataFrame, matrix: np.ndarray) -> DataFram
     )
 
 
-def top_contributors(
-    contributions: DataFrame | pd.DataFrame, k: int = 3, signs: dict[str, int] | None = None
-) -> pd.DataFrame:
+def top_contributors(contributions: DataFrame | pd.DataFrame, k: int = 3) -> pd.DataFrame:
     """Top-k contributing ingredients per region (Fig. 5).
 
     For positive-pairing regions the largest χ (ingredients pulling the
     score up); for negative-pairing ones the smallest χ (pulling it
-    down).  ``signs`` maps region → ±1; default = the paper's Fig. 4
-    signs from :mod:`repro.regions`.  Ingredient names are joined in
-    for readability.
+    down), by the paper's Fig. 4 signs from :mod:`repro.regions`.
+    Ingredient names are joined in for readability.
     """
     from repro.regions import REGIONS
 
@@ -106,8 +103,7 @@ def top_contributors(
         if isinstance(contributions, DataFrame)
         else contributions.copy()
     )
-    if signs is None:
-        signs = {r.code: r.pairing_sign for r in REGIONS}
+    signs = {r.code: r.pairing_sign for r in REGIONS}
     names = ingredient_master().set_index("ingredient_id")["name"]
     rows = []
     for region, g in pdf.dropna(subset=["chi"]).groupby("region"):

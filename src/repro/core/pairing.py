@@ -9,14 +9,15 @@ pairs; the cuisine score N_s^C is the mean of N_s^R over recipes.
 
 One overlap matrix and one gather kernel serve every score:
 :func:`shared_matrix` builds the dense (N+1)² int32 |F_i ∩ F_j| matrix
-(≈3.6 MB) as B·Bᵀ of the ingredient × molecule incidence matrix, and
-:func:`padded_overlap` checks a padded (recipes × max size) matrix of
-member ids and gathers each member's overlap T_{R,i} from a broadcast
-copy.  χ in :mod:`repro.core.contribution` reaches it through
-:func:`member_overlap`, which pads a batch of ``ingredients`` arrays with
-:func:`pad_members`; the Fig. 4 stage of :mod:`repro.core.zscore` hands
-it the real recipes padded once by the same helper and the generators'
-own padded matrices, so N_s^R, N_s^C, σ and χ all come from this kernel.
+(≈3.6 MB) from the pandas profiles, with no Spark stage, as B·Bᵀ of the
+ingredient × molecule incidence matrix, and :func:`padded_overlap` checks
+a padded (recipes × max size) matrix of member ids and gathers each
+member's overlap T_{R,i} from a broadcast copy.  χ in
+:mod:`repro.core.contribution` reaches it through :func:`member_overlap`,
+which pads a batch of ``ingredients`` arrays with :func:`pad_members`;
+the Fig. 4 stage of :mod:`repro.core.zscore` hands it the real recipes
+padded once by the same helper and the generators' own padded matrices,
+so N_s^R, N_s^C, σ and χ all come from this kernel.
 """
 from __future__ import annotations
 
@@ -24,22 +25,21 @@ from typing import Callable
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.flavordb.ingredients import N_INGREDIENTS
-from repro.flavordb.profiles import shared_matrix_numpy
+from repro.flavordb.profiles import profiles, shared_matrix_numpy
 
 #: Padding slot used by the vectorized scorer; row/column is all zeros.
 PAD_ID = N_INGREDIENTS
 
 
-def shared_matrix(spark: SparkSession, profiles: DataFrame) -> np.ndarray:
-    """Dense symmetric overlap matrix of the long-format ``profiles``.
+def shared_matrix() -> np.ndarray:
+    """Dense symmetric overlap matrix of every ingredient's flavor profile.
 
     Shape (N_INGREDIENTS+1, N_INGREDIENTS+1); index ``PAD_ID`` is an
     all-zero padding slot and the diagonal is zero.
     """
-    return shared_matrix_numpy(profiles.toPandas())
+    return shared_matrix_numpy(profiles())
 
 
 def pad_members(ingredients: pd.Series) -> tuple[np.ndarray, np.ndarray]:

@@ -44,6 +44,10 @@ CORPUS_SCHEMA = StructType(
     ]
 )
 
+#: Recipes per generation batch.  Each batch's RNG stream is keyed on its
+#: start, so changing this changes the corpus.
+BATCH_SIZE = 2000
+
 _PLAN_SCHEMA = StructType(
     [
         StructField("code", StringType()),
@@ -53,17 +57,12 @@ _PLAN_SCHEMA = StructType(
 )
 
 
-def _generate_df(
-    spark: SparkSession,
-    specs: tuple[RegionSpec, ...],
-    seed: int,
-    batch_size: int,
-) -> DataFrame:
+def _generate_df(spark: SparkSession, specs: tuple[RegionSpec, ...], seed: int) -> DataFrame:
     """Expand a (region, batch) plan into recipes via mapInPandas."""
     plan_rows = [
-        (s.code, start, min(batch_size, s.n_recipes - start))
+        (s.code, start, min(BATCH_SIZE, s.n_recipes - start))
         for s in specs
-        for start in range(0, s.n_recipes, batch_size)
+        for start in range(0, s.n_recipes, BATCH_SIZE)
     ]
     plan = spark.createDataFrame(plan_rows, _PLAN_SCHEMA).repartition(
         max(1, min(len(plan_rows), spark.sparkContext.defaultParallelism))
@@ -157,25 +156,14 @@ def _apply_swaps(
     return recipes.mapInPandas(fix, CORPUS_SCHEMA)
 
 
-def build_corpus(
-    spark: SparkSession,
-    *,
-    scale: float = 1.0,
-    seed: int = 11,
-    include_other: bool = True,
-    batch_size: int = 2000,
-    ensure_coverage: bool = True,
-) -> DataFrame:
+def build_corpus(spark: SparkSession, *, scale: float = 1.0, seed: int = 11) -> DataFrame:
     """Build the recipe corpus at ``scale`` (1.0 → the paper's 45,772).
 
-    ``ensure_coverage`` runs the swap pass that makes the per-region
-    unique-ingredient counts hit the Table 1 targets exactly.
+    The coverage pass then makes the per-region unique-ingredient counts
+    hit the Table 1 targets exactly.
     """
-    specs = region_specs(scale, seed, include_other)
-    recipes = _generate_df(spark, specs, seed, batch_size)
-    if not ensure_coverage:
-        return recipes
-    recipes = recipes.persist()
+    specs = region_specs(scale, seed)
+    recipes = _generate_df(spark, specs, seed).persist()
     try:
         swaps, cnts = _coverage_plan(recipes, specs)
     except Exception:
@@ -191,13 +179,3 @@ def explode_corpus(recipes: DataFrame) -> DataFrame:
     return recipes.select(
         "recipe_id", "region", "n", F.explode("ingredients").alias("ingredient_id")
     )
-
-
-def write_corpus(recipes: DataFrame, path: str) -> None:
-    """Materialize the corpus to parquet (jobs cache)."""
-    recipes.write.mode("overwrite").parquet(path)
-
-
-def read_corpus(spark: SparkSession, path: str) -> DataFrame:
-    """Load a corpus previously written with :func:`write_corpus`."""
-    return spark.read.parquet(path)

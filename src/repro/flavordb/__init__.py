@@ -13,9 +13,9 @@ paths:
   including the paper's named special cases (additives without flavor
   profiles, compound ingredients such as mayonnaise and 'half half',
   spelling-variant synonyms);
-* :mod:`repro.flavordb.profiles` — per-ingredient flavor profiles, with
-  compound-ingredient profiles pooled from constituents via a Spark
-  aggregation, exactly as the paper describes.
+* :mod:`repro.flavordb.profiles` — per-ingredient flavor profiles, a
+  compound ingredient's being the union of its constituents' (the
+  paper's pooling rule), and the overlap matrix built from them.
 """
 from repro.flavordb.ingredients import (
     CATEGORIES,
@@ -28,9 +28,8 @@ from repro.flavordb.molecules import (
     N_COMMUNITIES,
     N_MOLECULES,
     molecule_community,
-    molecules_df,
 )
-from repro.flavordb.profiles import basic_profiles, profiles_df, shared_matrix_numpy
+from repro.flavordb.profiles import basic_profiles, profiles, shared_matrix_numpy
 
 __all__ = [
     "CATEGORIES",
@@ -42,7 +41,6 @@ __all__ = [
     "ingredient_master",
     "ingredients_df",
     "molecule_community",
-    "molecules_df",
-    "profiles_df",
+    "profiles",
     "shared_matrix_numpy",
 ]

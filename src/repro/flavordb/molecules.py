@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 #: Total molecules in the synthetic universe.
 N_MOLECULES = 2500
@@ -69,8 +68,3 @@ def molecules_pdf() -> pd.DataFrame:
             "molecule_name": [f"mol_{i:04d}" for i in mid],
         }
     )
-
-
-def molecules_df(spark: SparkSession) -> DataFrame:
-    """The molecule universe as a Spark DataFrame."""
-    return spark.createDataFrame(molecules_pdf())

@@ -6,9 +6,10 @@ high-within / low-across overlap structure food pairing depends on.
 Profile sizes are log-normal (clipped to [5, 150]), matching FlavorDB's
 heavy spread of empirically-reported molecule counts per ingredient.
 
-Compound-ingredient profiles are **pooled from constituents via a Spark
-aggregation** (explode constituents → join basic profiles → distinct),
-exactly the pooling rule the paper describes in Materials §C.
+A compound ingredient's profile is the union of its constituents'
+profiles, the pooling rule of the paper's Materials §C; :func:`profiles`
+applies it in pandas (explode constituents → merge basic profiles →
+drop duplicates).
 
 The four profile-less additives (Materials §B) produce no rows here.
 """
@@ -18,8 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 import pandas as pd
-import pyspark.sql.functions as F
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.flavordb.ingredients import N_INGREDIENTS, ingredient_master
 from repro.flavordb.molecules import community_molecules, shared_pool_molecules
@@ -38,7 +37,7 @@ def basic_profiles(seed: int = 7) -> pd.DataFrame:
     """Long-format (ingredient_id, molecule_id) profiles for basic ingredients.
 
     Deterministic in ``seed``; compound ingredients and profile-less
-    additives are excluded (compounds are pooled in :func:`profiles_df`).
+    additives are excluded (compounds are pooled in :func:`profiles`).
     """
     master = ingredient_master(seed)
     basics = master[(~master["is_compound"]) & master["has_profile"]]
@@ -69,31 +68,17 @@ def basic_profiles(seed: int = 7) -> pd.DataFrame:
     )
 
 
-def profiles_df(spark: SparkSession, seed: int = 7) -> DataFrame:
-    """All ingredient flavor profiles as a Spark DataFrame.
+def profiles() -> pd.DataFrame:
+    """Long-format (ingredient_id, molecule_id) profiles of every profiled ingredient.
 
-    Basic profiles come from :func:`basic_profiles`; compound-ingredient
-    profiles are pooled distributively: explode the constituent list,
-    join to the basic profiles, and de-duplicate molecules per compound.
+    The :func:`basic_profiles`, plus each compound ingredient's pooled
+    profile: its constituents' molecules, each once.
     """
-    master = ingredient_master(seed)
-    basic = spark.createDataFrame(basic_profiles(seed))
-
-    compounds = master[master["is_compound"]][["ingredient_id", "constituents"]].copy()
-    compounds["constituents"] = compounds["constituents"].map(list)
-    compound_map = spark.createDataFrame(compounds).select(
-        F.col("ingredient_id"),
-        F.explode("constituents").alias("constituent_id"),
-    )
-    pooled = (
-        compound_map.join(
-            basic.withColumnRenamed("ingredient_id", "constituent_id"),
-            on="constituent_id",
-        )
-        .select("ingredient_id", "molecule_id")
-        .distinct()
-    )
-    return basic.unionByName(pooled)
+    master, basic = ingredient_master(), basic_profiles()
+    parts = master.loc[master["is_compound"], ["ingredient_id", "constituents"]]
+    parts = parts.explode("constituents").astype({"constituents": np.int64})
+    pooled = parts.merge(basic.rename(columns={"ingredient_id": "constituents"}), on="constituents")
+    return pd.concat([basic, pooled[["ingredient_id", "molecule_id"]]]).drop_duplicates(ignore_index=True)
 
 
 def shared_matrix_numpy(profiles: pd.DataFrame) -> np.ndarray:

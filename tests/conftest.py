@@ -9,19 +9,17 @@ import numpy as np
 import pytest
 
 from repro.culinarydb.corpus import build_corpus, explode_corpus
-from repro.flavordb.profiles import profiles_df
+from repro.flavordb.profiles import profiles
 from repro.core.pairing import shared_matrix
 from tests.reference import shared_pairs
 
 SEED = 11
 
 
-@pytest.fixture(scope="session")
-def profiles(spark):
-    df = profiles_df(spark).persist()
-    df.count()
-    yield df
-    df.unpersist()
+@pytest.fixture(scope="session", name="profiles")
+def spark_profiles(spark):
+    """The profiles as a Spark DataFrame, for the Catalyst join references."""
+    return spark.createDataFrame(profiles())
 
 
 @pytest.fixture(scope="session")
@@ -33,8 +31,8 @@ def pairs_df(spark, profiles):
 
 
 @pytest.fixture(scope="session")
-def overlap_matrix(spark, profiles) -> np.ndarray:
-    return shared_matrix(spark, profiles)
+def overlap_matrix() -> np.ndarray:
+    return shared_matrix()
 
 
 @pytest.fixture(scope="session")

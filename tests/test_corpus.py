@@ -4,7 +4,7 @@ import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
-from repro.culinarydb.corpus import build_corpus, explode_corpus
+from repro.culinarydb.corpus import _generate_df, build_corpus, explode_corpus
 from repro.culinarydb.generator import region_specs
 from repro.flavordb.ingredients import N_INGREDIENTS
 from repro.oracle import assert_equivalent
@@ -87,7 +87,7 @@ def test_deterministic_rebuild(spark, corpus_small):
 
 
 def test_different_seed_differs(spark, corpus_small):
-    other = build_corpus(spark, scale=0.02, seed=12, ensure_coverage=False)
+    other = _generate_df(spark, region_specs(0.02, 12, True), 12)
     a = corpus_small.orderBy("recipe_id").limit(20).collect()
     b = other.orderBy("recipe_id").limit(20).collect()
     assert any(x["ingredients"] != y["ingredients"] for x, y in zip(a, b))
@@ -114,7 +114,7 @@ def test_all_regions_present(corpus_small):
 
 
 def test_scale_without_coverage_smaller_unique_counts(spark):
-    raw = build_corpus(spark, scale=0.02, seed=11, ensure_coverage=False)
+    raw = _generate_df(spark, region_specs(0.02, 11, True), 11)
     uniq = (
         explode_corpus(raw)
         .groupBy("region")

@@ -53,9 +53,3 @@ def test_molecules_pdf_shape_and_names():
     assert len(pdf) == N_MOLECULES
     assert pdf["molecule_id"].is_unique
     assert pdf["molecule_name"].str.startswith("mol_").all()
-
-
-def test_molecules_df_roundtrip(spark):
-    df = __import__("repro.flavordb.molecules", fromlist=["molecules_df"]).molecules_df(spark)
-    assert df.count() == N_MOLECULES
-    assert set(df.columns) == {"molecule_id", "community", "molecule_name"}

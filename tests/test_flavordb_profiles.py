@@ -1,16 +1,12 @@
 """Flavor profiles: size bounds, community structure, compound pooling."""
 import numpy as np
 import pandas as pd
-import pyspark.sql.functions as F
 import pytest
 
 from repro.flavordb.ingredients import N_INGREDIENTS, ingredient_master
 from repro.flavordb.molecules import N_MOLECULES, molecule_community
-from repro.flavordb.profiles import (
-    basic_profiles,
-    profiles_df,
-    shared_matrix_numpy,
-)
+from repro.flavordb.profiles import basic_profiles, profiles, shared_matrix_numpy
+from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -58,33 +54,38 @@ def test_deterministic(basic):
     pd.testing.assert_frame_equal(basic.reset_index(drop=True), again)
 
 
-def test_profiles_df_pools_compounds(spark, master):
-    prof = profiles_df(spark).toPandas()
-    basic = basic_profiles()
-    by_ing = {i: set(g["molecule_id"]) for i, g in prof.groupby("ingredient_id")}
-    # every compound's profile is exactly the union of its constituents'
-    for _, row in master[master["is_compound"]].head(15).iterrows():
-        expected = set()
-        for c in row["constituents"]:
-            expected |= set(basic.loc[basic["ingredient_id"] == c, "molecule_id"])
-        assert by_ing[row["ingredient_id"]] == expected
+@pytest.fixture(scope="module")
+def prof():
+    return profiles()
 
 
-def test_profiles_df_excludes_profile_less_additives(spark, master):
-    prof = profiles_df(spark)
-    no_prof_ids = [
-        int(i) for i in master.loc[~master["has_profile"], "ingredient_id"]
-    ]
-    assert prof.where(F.col("ingredient_id").isin(no_prof_ids)).count() == 0
+def test_profiles_df_pools_compounds(spark, master, basic, prof):
+    """Basic rows, plus every compound's constituent molecules once each, in DuckDB."""
+    compounds = master.loc[master["is_compound"], ["ingredient_id", "constituents"]]
+    assert len(compounds) == 103
+    assert_equivalent(
+        spark.createDataFrame(prof),
+        """
+        SELECT ingredient_id, molecule_id FROM basic
+        UNION ALL
+        SELECT DISTINCT c.ingredient_id, b.molecule_id
+        FROM (SELECT ingredient_id, unnest(constituents) AS constituent_id FROM compounds) c
+        JOIN basic b ON b.ingredient_id = c.constituent_id
+        """,
+        basic=basic,
+        compounds=compounds,
+    )
 
 
-def test_profiles_df_no_duplicates(spark):
-    prof = profiles_df(spark)
-    assert prof.count() == prof.distinct().count()
+def test_profiles_df_excludes_profile_less_additives(master, prof):
+    assert set(prof["ingredient_id"]) == set(master.loc[master["has_profile"], "ingredient_id"])
 
 
-def test_shared_matrix_numpy_properties(spark):
-    prof = profiles_df(spark).toPandas()
+def test_profiles_df_no_duplicates(prof):
+    assert not prof.duplicated().any()
+
+
+def test_shared_matrix_numpy_properties(prof):
     s = shared_matrix_numpy(prof)
     assert s.shape == (N_INGREDIENTS + 1, N_INGREDIENTS + 1)
     assert (s == s.T).all()
@@ -93,8 +94,7 @@ def test_shared_matrix_numpy_properties(spark):
     assert s.max() > 0
 
 
-def test_shared_matrix_numpy_matches_set_intersection(spark):
-    prof = profiles_df(spark).toPandas()
+def test_shared_matrix_numpy_matches_set_intersection(prof):
     s = shared_matrix_numpy(prof)
     sets = {i: set(g["molecule_id"]) for i, g in prof.groupby("ingredient_id")}
     ids = sorted(sets)[:20]

@@ -6,11 +6,11 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from repro.core.pairing import shared_matrix
 from tests.conftest import SEED
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "jobs"))
 
+import build_corpus  # noqa: E402
 import t4_food_pairing  # noqa: E402
 import t5_contributions  # noqa: E402
 
@@ -45,12 +45,10 @@ def _chi_by_pair_decomposition(recipes, matrix) -> dict:
     return chi
 
 
-def test_t5_run_top3_matches_pair_decomposition(spark, profiles, corpus_small):
+def test_t5_run_top3_matches_pair_decomposition(spark, overlap_matrix, corpus_small):
     top = t5_contributions.run(spark, scale=SCALE, seed=SEED)
     corpus = corpus_small.toPandas()
-    ref = _chi_by_pair_decomposition(
-        corpus[corpus["region"] != "OTHER"], shared_matrix(spark, profiles)
-    )
+    ref = _chi_by_pair_decomposition(corpus[corpus["region"] != "OTHER"], overlap_matrix)
     assert sorted(top["region"].unique()) == sorted({r for r, _ in ref})
     assert top.groupby("region")["rank"].apply(list).map(lambda r: r == [1, 2, 3]).all()
     for row in top.itertuples():
@@ -62,3 +60,9 @@ def test_t4_run_finite_z_for_every_region_and_model(spark):
     assert table["region"].nunique() == len(table) == 23
     z = table[["z_real", "z_frequency", "z_category", "z_freq_cat"]].to_numpy(dtype=float)
     assert np.isfinite(z).all()
+
+
+def test_build_corpus_run_writes_corpus_and_profiles(spark, corpus_small, tmp_path):
+    build_corpus.run(spark, str(tmp_path), scale=SCALE, seed=SEED)
+    assert spark.read.parquet(str(tmp_path / "recipes")).count() == corpus_small.count()
+    assert spark.read.parquet(str(tmp_path / "profiles")).count() == 45_040

@@ -68,12 +68,12 @@ def test_recipe_score_zero_overlap_recipe(spark, micro_profiles):
     assert row["score"] == 0.0
 
 
-def test_shared_matrix_matches_numpy_reference(spark, profiles, pairs_df):
+def test_shared_matrix_matches_numpy_reference(pairs_df):
     """The B·Bᵀ builder equals a dense fill of the join reference."""
     pdf = pairs_df.toPandas()
     ref = np.zeros((PAD_ID + 1, PAD_ID + 1), dtype=np.int32)
     ref[pdf["i"].to_numpy(), pdf["j"].to_numpy()] = pdf["shared"].to_numpy()
-    mat = shared_matrix(spark, profiles)
+    mat = shared_matrix()
     assert mat.dtype == np.int32
     assert np.array_equal(mat, ref + ref.T)
 
