@@ -1,8 +1,8 @@
 """The paper's primary contribution: food-pairing analysis of cuisines.
 
 * :mod:`repro.core.pairing` — the ingredient overlap matrix
-  |F_i ∩ F_j| and the one gather kernel over it, which scores recipes
-  (``N_s^R``, Methodology §B) against a broadcast copy of the matrix;
+  |F_i ∩ F_j| and the one gather kernel over it, which scores padded
+  recipe matrices (``N_s^R``, Methodology §B);
 * :mod:`repro.core.randomize` — the four randomized-cuisine models
   (Random / Ingredient Frequency / Ingredient Category /
   Frequency + Category) and the batch plan that also carries the real
@@ -11,11 +11,13 @@
   and randomized cuisines from one fused pass, and the Z-score of each
   cuisine and model against the Random Cuisine (Fig. 4);
 * :mod:`repro.core.contribution` — ingredient contribution χ_i via exact
-  pair-level decomposition on the same kernel, N_s^C included (Fig. 5);
+  pair-level decomposition on the same kernel, N_s^C included, from one
+  collect of the recipes and per-slice partial sums on the driver
+  (Fig. 5);
 * :mod:`repro.core.stats` — corpus statistics for Table 1, Fig. 2 and
   Fig. 3.
 """
-from repro.core.pairing import member_overlap, shared_matrix
+from repro.core.pairing import shared_matrix
 from repro.core.randomize import MODELS, region_model_inputs
 from repro.core.zscore import food_pairing_table
 from repro.core.contribution import ingredient_contributions, top_contributors
@@ -24,7 +26,6 @@ __all__ = [
     "MODELS",
     "food_pairing_table",
     "ingredient_contributions",
-    "member_overlap",
     "region_model_inputs",
     "shared_matrix",
     "top_contributors",

@@ -13,25 +13,27 @@ decomposition:
 
 where S_R is R's total pair overlap and T_{R,i} the overlap of pairs
 involving i, both from the gather kernel
-:func:`repro.core.pairing.member_overlap` in one ``mapInPandas`` pass.
-N_s^C comes from the same pass: ``lead`` marks each recipe's first member.
+:func:`repro.core.pairing.padded_overlap`.  The recipes are collected
+once, with no Spark stage of their own, and scored on the driver in
+slices of at most :data:`repro.core.randomize.BATCH_SIZE` recipes per
+region.  Each slice is reduced to per-ingredient partial sums with
+``np.bincount``, and to its recipe count and Σ score for N_s^C; the
+partials are summed per (region, ingredient).
 """
 from __future__ import annotations
 
-from typing import Iterator
+from functools import partial
 
 import numpy as np
 import pandas as pd
-import pyspark.sql.functions as F
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 
-from repro.core.pairing import PAD_ID, member_overlap
+from repro.core import randomize
+from repro.core.pairing import PAD_ID, pad_members, padded_overlap
 from repro.flavordb.ingredients import ingredient_master
 
-_MEMBER_SCHEMA = "region string, ingredient_id long, score double, adj double, dropped int, lead int"
 
-
-def ingredient_contributions(recipes: DataFrame, matrix: np.ndarray) -> DataFrame:
+def ingredient_contributions(recipes: DataFrame, matrix: np.ndarray) -> pd.DataFrame:
     """χ_i for every (region, ingredient).
 
     ``recipes`` has one row per recipe with ``recipe_id``, ``region``,
@@ -39,84 +41,76 @@ def ingredient_contributions(recipes: DataFrame, matrix: np.ndarray) -> DataFram
     :func:`repro.core.pairing.shared_matrix`.  Returns (region,
     ingredient_id, n_containing, ns_c, ns_without, chi) where ``chi`` =
     100 · (N_s^C − N_s^{C∖i}) / N_s^C: positive χ means the ingredient
-    pulls the cuisine's pairing score *up*.  ``chi`` is NULL when
+    pulls the cuisine's pairing score *up*.  ``chi`` is NaN when
     removing i empties the region or when N_s^C = 0.
-    """
-    bc = recipes.sparkSession.sparkContext.broadcast(matrix)
 
-    def members(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        """One row per member: its recipe's score and the score without it."""
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            ids, t = member_overlap(pdf, bc.value)
-            n = pdf["n"].to_numpy()[:, None].astype(np.float64)
+    The recipes are sliced in ``recipe_id`` order, so the slices and the
+    floating-point sums do not depend on how ``recipes`` is partitioned.
+    """
+    pdf = recipes.select("recipe_id", "region", "n", "ingredients").toPandas().sort_values("recipe_id")
+    parts, totals = [], []
+    for region, g in pdf.groupby("region"):
+        for lo in range(0, len(g), randomize.BATCH_SIZE):
+            part = g.iloc[lo: lo + randomize.BATCH_SIZE]
+            recipe_ids, sizes = part["recipe_id"].to_numpy(), part["n"].to_numpy()
+            ids, lengths = pad_members(part["ingredients"])
+            t = padded_overlap(ids, lengths, sizes, lambda row: f"recipe {recipe_ids[row]}", matrix)
+            n = sizes.astype(np.float64)[:, None]
             pair_sum = t.sum(axis=1, keepdims=True)  # 2 S_R
+            score = pair_sum / (n * (n - 1))
             adj = np.where(n >= 3, (pair_sum - 2 * t) / np.maximum((n - 1) * (n - 2), 1), 0.0)
             real = ids != PAD_ID
-            rows, slots = np.nonzero(real)
-            yield pd.DataFrame({
-                "region": pdf["region"].to_numpy()[rows],
-                "ingredient_id": ids[real],
-                "score": (pair_sum / (n * (n - 1)))[rows, 0],
-                "adj": adj[real],
-                "dropped": (n[rows, 0] == 2).astype(np.int32),
-                "lead": (slots == 0).astype(np.int32),
-            })
-
-    per_ing = (
-        recipes.mapInPandas(members, _MEMBER_SCHEMA)
-        .groupBy("region", "ingredient_id")
-        .agg(
-            F.count("*").alias("n_containing"),
-            F.sum("score").alias("sum_orig"),
-            F.sum("adj").alias("sum_adj"),
-            F.sum("dropped").alias("n_dropped"),
-            F.sum("lead").alias("n_lead"),
-            F.sum(F.col("lead") * F.col("score")).alias("lead_score"),
-        )
-    )
-    region = Window.partitionBy("region")
-    n_r, total = F.sum("n_lead").over(region), F.sum("lead_score").over(region)
-    ns_c = total / n_r
-    remaining = n_r - F.col("n_dropped")
-    ns_without = F.when(remaining > 0, (total - F.col("sum_orig") + F.col("sum_adj")) / remaining)
-    chi = F.when(ns_c != 0, 100.0 * (ns_c - ns_without) / ns_c)
-    return per_ing.select(
-        "region", "ingredient_id", "n_containing", ns_c.alias("ns_c"),
-        ns_without.alias("ns_without"), chi.alias("chi"),
+            rows = np.nonzero(real)[0]
+            ingredient_id, member = np.unique(ids[real], return_inverse=True)
+            per_ingredient = partial(np.bincount, member, minlength=len(ingredient_id))
+            parts.append(pd.DataFrame({
+                "region": region,
+                "ingredient_id": ingredient_id,
+                "n_containing": per_ingredient(),
+                "sum_score": per_ingredient(score[rows, 0]),
+                "sum_adj": per_ingredient(adj[real]),
+                "n_dropped": per_ingredient(sizes[rows] == 2).astype(np.int64),
+            }))
+            totals.append((region, len(part), score.sum()))
+    per = pd.concat(parts).groupby(["region", "ingredient_id"], as_index=False).sum()
+    region_totals = pd.DataFrame(totals, columns=["region", "n_recipes", "total"]).groupby("region").sum()
+    per = per.join(region_totals, on="region")
+    ns_c = per["total"] / per["n_recipes"]
+    remaining = per["n_recipes"] - per["n_dropped"]
+    ns_without = ((per["total"] - per["sum_score"] + per["sum_adj"]) / remaining).where(remaining > 0)
+    return per[["region", "ingredient_id", "n_containing"]].assign(
+        ns_c=ns_c,
+        ns_without=ns_without,
+        chi=(100.0 * (ns_c - ns_without) / ns_c).where(ns_c != 0),
     )
 
 
-def top_contributors(contributions: DataFrame | pd.DataFrame, k: int = 3) -> pd.DataFrame:
+def top_contributors(contributions: pd.DataFrame, k: int = 3) -> pd.DataFrame:
     """Top-k contributing ingredients per region (Fig. 5).
 
     For positive-pairing regions the largest χ (ingredients pulling the
     score up); for negative-pairing ones the smallest χ (pulling it
-    down), by the paper's Fig. 4 signs from :mod:`repro.regions`.
-    Ingredient names are joined in for readability.
+    down), by the paper's Fig. 4 signs from :mod:`repro.regions`.  Equal
+    χ rank by ``ingredient_id``.  Ingredient names are joined in for
+    readability.
     """
     from repro.regions import REGIONS
 
-    pdf = (
-        contributions.toPandas()
-        if isinstance(contributions, DataFrame)
-        else contributions.copy()
-    )
     signs = {r.code: r.pairing_sign for r in REGIONS}
+    pdf = contributions.dropna(subset=["chi"])
+    pull = pdf["chi"] * -pdf["region"].map(signs).fillna(1)
+    top = (
+        pdf.assign(pull=pull)
+        .sort_values(["region", "pull", "ingredient_id"])
+        .groupby("region")
+        .head(k)
+        .reset_index(drop=True)
+    )
     names = ingredient_master().set_index("ingredient_id")["name"]
-    rows = []
-    for region, g in pdf.dropna(subset=["chi"]).groupby("region"):
-        sign = signs.get(region, 1)
-        top = g.sort_values("chi", ascending=sign < 0).head(k)
-        for rank, (_, row) in enumerate(top.iterrows(), start=1):
-            rows.append(
-                {
-                    "region": region,
-                    "rank": rank,
-                    "ingredient_id": int(row["ingredient_id"]),
-                    "ingredient": names.loc[int(row["ingredient_id"])],
-                    "chi": row["chi"],
-                }
-            )
-    return pd.DataFrame(rows)
+    return pd.DataFrame({
+        "region": top["region"],
+        "rank": top.groupby("region").cumcount() + 1,
+        "ingredient_id": top["ingredient_id"].astype(np.int64),
+        "ingredient": top["ingredient_id"].map(names),
+        "chi": top["chi"],
+    })

@@ -12,12 +12,12 @@ One overlap matrix and one gather kernel serve every score:
 (≈3.6 MB) from the pandas profiles, with no Spark stage, as B·Bᵀ of the
 ingredient × molecule incidence matrix, and :func:`padded_overlap` checks
 a padded (recipes × max size) matrix of member ids and gathers each
-member's overlap T_{R,i} from a broadcast copy.  χ in
-:mod:`repro.core.contribution` reaches it through :func:`member_overlap`,
-which pads a batch of ``ingredients`` arrays with :func:`pad_members`;
-the Fig. 4 stage of :mod:`repro.core.zscore` hands it the real recipes
-padded once by the same helper and the generators' own padded matrices,
-so N_s^R, N_s^C, σ and χ all come from this kernel.
+member's overlap T_{R,i}.  :func:`pad_members` pads ``ingredients``
+arrays into that matrix: χ in :mod:`repro.core.contribution` pads each
+driver-side slice of the real recipes with it, and the Fig. 4 stage of
+:mod:`repro.core.zscore` hands the kernel the real recipes padded once by
+the same helper and the generators' own padded matrices, so N_s^R,
+N_s^C, σ and χ all come from this kernel.
 """
 from __future__ import annotations
 
@@ -49,21 +49,6 @@ def pad_members(ingredients: pd.Series) -> tuple[np.ndarray, np.ndarray]:
     ids = np.full((len(ingredients), lengths.max()), PAD_ID, dtype=np.int64)
     ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.concatenate(ingredients.to_list())
     return ids, lengths
-
-
-def member_overlap(pdf: pd.DataFrame, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Padded member ids and each member's overlap with the rest of its recipe.
-
-    ``pdf`` has ``recipe_id``, ``n`` and ``ingredients`` per recipe.  Returns
-    ``(ids, t)``, (recipes × max size) each: members padded with ``PAD_ID``
-    by :func:`pad_members`, and T_{R,i} from :func:`padded_overlap`, which
-    checks the recipes and names a bad one by its ``recipe_id``.
-    """
-    ids, lengths = pad_members(pdf["ingredients"])
-    recipe_ids = pdf["recipe_id"].to_numpy()
-    return ids, padded_overlap(
-        ids, lengths, pdf["n"].to_numpy(), lambda row: f"recipe {recipe_ids[row]}", matrix
-    )
 
 
 def padded_overlap(

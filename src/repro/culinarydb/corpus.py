@@ -120,7 +120,12 @@ def _apply_swaps(
     swaps: dict[tuple[str, int], list[int]],
     counts: dict[str, dict[int, int]],
 ) -> DataFrame:
-    """Swap missing ingredients into their planned recipes."""
+    """Swap missing ingredients into their planned recipes.
+
+    Raises ``ValueError`` naming the region, the recipe and the ingredient
+    when no member of the recipe can make way for it, rather than leave
+    the ingredient out of the region's Table 1 count.
+    """
     offsets = {s.code: s.recipe_offset for s in specs}
 
     def fix(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -144,7 +149,9 @@ def _apply_swaps(
                         if int(x) not in replaced and cnt.get(int(x), 0) >= 2
                     ]
                     if not cand:
-                        continue
+                        raise ValueError(
+                            f"region {region}, recipe {int(rid)}: no member can make way for ingredient {new_ing}"
+                        )
                     victim = max(cand)[1]
                     ing[ing.index(victim)] = new_ing
                     replaced.add(new_ing)

@@ -19,7 +19,7 @@ import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import ArrayType, DoubleType, IntegerType, LongType, StringType, StructField, StructType
 
-from repro.core.pairing import member_overlap
+from repro.core.pairing import pad_members, padded_overlap
 from repro.core.randomize import RegionInputs, batch_plan, model_batch
 
 RANDOM_SCHEMA = StructType(
@@ -127,8 +127,9 @@ def recipe_scores_fast(recipes: DataFrame, matrix: np.ndarray) -> DataFrame:
         for pdf in batches:
             if len(pdf) == 0:
                 continue
-            _, t = member_overlap(pdf, s)
-            sizes = pdf["n"].to_numpy()
+            ids, lengths = pad_members(pdf["ingredients"])
+            sizes, recipe_ids = pdf["n"].to_numpy(), pdf["recipe_id"].to_numpy()
+            t = padded_overlap(ids, lengths, sizes, lambda row: f"recipe {recipe_ids[row]}", s)
             yield pdf.assign(score=t.sum(axis=1) / (sizes * (sizes - 1.0)))
 
     return recipes.mapInPandas(run, out_schema)

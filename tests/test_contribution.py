@@ -4,6 +4,7 @@ import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
+from repro.core import randomize
 from repro.core.contribution import ingredient_contributions, top_contributors
 from repro.flavordb.profiles import shared_matrix_numpy
 from tests.reference import recipe_scores_fast
@@ -11,12 +12,13 @@ from tests.test_pairing import _MICRO_PROFILES
 
 
 @pytest.fixture(scope="module")
-def contrib(spark, corpus_small, overlap_matrix):
-    sub = corpus_small.where(F.col("region").isin(["KOR", "SAM"]))
-    df = ingredient_contributions(sub, overlap_matrix).persist()
-    df.count()
-    yield df
-    df.unpersist()
+def contrib_input(corpus_small):
+    return corpus_small.where(F.col("region").isin(["KOR", "SAM"]))
+
+
+@pytest.fixture(scope="module")
+def contrib(contrib_input, overlap_matrix):
+    return ingredient_contributions(contrib_input, overlap_matrix)
 
 
 def _brute_force_ns_without(corpus_pdf: pd.DataFrame, matrix: np.ndarray, ing: int) -> float:
@@ -46,22 +48,20 @@ def test_chi_micro(spark):
         "n": [3, 2, 2, 2, 2],
         "ingredients": [[0, 1, 2], [0, 1], [0, 1], [0, 2], [1, 2]],
     }))
-    got = {
-        (r["region"], r["ingredient_id"]): r
-        for r in ingredient_contributions(recipes, shared_matrix_numpy(_MICRO_PROFILES)).collect()
-    }
+    got = ingredient_contributions(recipes, shared_matrix_numpy(_MICRO_PROFILES))
+    got = got.set_index(["region", "ingredient_id"])
     for ing, n_containing, ns_without, chi in ((0, 2, 0.0, 100.0), (1, 2, 0.0, 100.0), (2, 1, 2.0, -50.0)):
-        row = got[("X", ing)]
+        row = got.loc[("X", ing)]
         assert row["n_containing"] == n_containing
         assert row["ns_c"] == pytest.approx(4 / 3)
         assert row["ns_without"] == pytest.approx(ns_without)
         assert row["chi"] == pytest.approx(chi)
     for ing in (0, 1):
-        assert got[("Y", ing)]["ns_without"] is None
-        assert got[("Y", ing)]["chi"] is None
-    assert got[("Z", 0)]["ns_c"] == 0.0
-    assert got[("Z", 0)]["ns_without"] == 0.0
-    assert got[("Z", 0)]["chi"] is None
+        assert np.isnan(got.loc[("Y", ing), "ns_without"])
+        assert np.isnan(got.loc[("Y", ing), "chi"])
+    assert got.loc[("Z", 0), "ns_c"] == 0.0
+    assert got.loc[("Z", 0), "ns_without"] == 0.0
+    assert np.isnan(got.loc[("Z", 0), "chi"])
 
 
 def test_chi_matches_brute_force(spark, corpus_small, contrib, overlap_matrix):
@@ -70,7 +70,7 @@ def test_chi_matches_brute_force(spark, corpus_small, contrib, overlap_matrix):
         .select("ingredients")
         .toPandas()
     )
-    got = contrib.where(F.col("region") == "KOR").toPandas()
+    got = contrib[contrib["region"] == "KOR"]
     # check the 5 most- and least-contributing ingredients exactly
     check = pd.concat([got.nlargest(5, "chi"), got.nsmallest(5, "chi")])
     for _, row in check.iterrows():
@@ -88,7 +88,7 @@ def test_ns_c_matches_fast_scorer(spark, corpus_small, contrib, overlap_matrix):
         .agg(F.avg("score"))
         .first()[0]
     )
-    ns_c = contrib.where(F.col("region") == "SAM").select("ns_c").first()[0]
+    ns_c = contrib.loc[contrib["region"] == "SAM", "ns_c"].iloc[0]
     assert ns_c == pytest.approx(real, rel=1e-9)
 
 
@@ -100,16 +100,36 @@ def test_every_pool_ingredient_has_chi(contrib, exploded_small):
         .collect()
     )
     counts = {r["region"]: r["u"] for r in uniq}
-    got = (
-        contrib.groupBy("region").agg(F.count("*").alias("c")).collect()
-    )
-    for r in got:
-        assert r["c"] == counts[r["region"]]
+    assert contrib.groupby("region").size().to_dict() == counts
 
 
 def test_chi_sums_are_finite(contrib):
-    pdf = contrib.toPandas()
-    assert np.isfinite(pdf["chi"].dropna()).all()
+    assert np.isfinite(contrib["chi"].dropna()).all()
+
+
+def test_chi_independent_of_slices_and_partitions(contrib_input, contrib, overlap_matrix, monkeypatch):
+    """Slices of 16 recipes cross a slice boundary in every region (each has
+    at least 30 recipes) and give the default slicing's χ; the input in 1
+    or in 7 partitions gives an identical frame."""
+    monkeypatch.setattr(randomize, "BATCH_SIZE", 16)
+    sliced = ingredient_contributions(contrib_input, overlap_matrix)
+    pd.testing.assert_frame_equal(sliced, contrib, check_exact=False, rtol=1e-12, atol=0)
+    pd.testing.assert_frame_equal(
+        ingredient_contributions(contrib_input.repartition(1), overlap_matrix),
+        ingredient_contributions(contrib_input.repartition(7), overlap_matrix),
+        check_exact=True,
+    )
+
+
+def test_ingredient_contributions_names_bad_recipe(spark, overlap_matrix):
+    recipes = spark.createDataFrame(pd.DataFrame({
+        "recipe_id": [11, 12, 13],
+        "region": ["KOR", "KOR", "KOR"],
+        "n": [2, 3, 2],
+        "ingredients": [[0, 1], [1, 2, 1], [2, 3]],
+    }))
+    with pytest.raises(ValueError, match="recipe 12: duplicate ingredient"):
+        ingredient_contributions(recipes, overlap_matrix)
 
 
 def test_top_contributors_shape(contrib):
@@ -121,19 +141,21 @@ def test_top_contributors_shape(contrib):
 
 def test_top_contributors_direction(contrib):
     """SAM (positive) tops have the largest χ; KOR (negative) the smallest."""
-    pdf = contrib.toPandas()
     top = top_contributors(contrib, k=3)
     sam_best = top[top["region"] == "SAM"]["chi"].max()
-    assert sam_best == pytest.approx(pdf[pdf["region"] == "SAM"]["chi"].max())
+    assert sam_best == pytest.approx(contrib[contrib["region"] == "SAM"]["chi"].max())
     kor_best = top[top["region"] == "KOR"]["chi"].min()
-    assert kor_best == pytest.approx(pdf[pdf["region"] == "KOR"]["chi"].min())
+    assert kor_best == pytest.approx(contrib[contrib["region"] == "KOR"]["chi"].min())
 
 
-def test_top_contributors_accepts_pandas(contrib):
-    pdf = contrib.toPandas()
-    a = top_contributors(pdf, k=2)
-    b = top_contributors(contrib, k=2)
-    pd.testing.assert_frame_equal(
-        a.sort_values(["region", "rank"]).reset_index(drop=True),
-        b.sort_values(["region", "rank"]).reset_index(drop=True),
-    )
+def test_top_contributors_ties_rank_lower_id_first():
+    """Equal χ rank by ingredient_id, whatever order the rows come in."""
+    contributions = pd.DataFrame({
+        "region": ["SAM", "SAM", "SAM", "KOR", "KOR", "KOR"],
+        "ingredient_id": [7, 3, 5, 9, 2, 4],
+        "chi": [2.0, 2.0, 1.0, -1.0, -1.0, 3.0],
+    })
+    top = top_contributors(contributions, k=2)
+    assert top[["region", "rank", "ingredient_id"]].values.tolist() == [
+        ["KOR", 1, 2], ["KOR", 2, 9], ["SAM", 1, 3], ["SAM", 2, 7],
+    ]

@@ -3,9 +3,10 @@ import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 import pytest
+from pyspark.errors import PythonException
 
-from repro.culinarydb.corpus import _generate_df, build_corpus, explode_corpus
-from repro.culinarydb.generator import region_specs
+from repro.culinarydb.corpus import CORPUS_SCHEMA, _apply_swaps, _generate_df, build_corpus, explode_corpus
+from repro.culinarydb.generator import RegionSpec, region_specs
 from repro.flavordb.ingredients import N_INGREDIENTS
 from repro.oracle import assert_equivalent
 from repro.regions import REGIONS
@@ -124,3 +125,14 @@ def test_scale_without_coverage_smaller_unique_counts(spark):
     pools = {s.code: len(s.pool) for s in region_specs(0.02, 11, True)}
     # without the coverage pass at least one region misses pool members
     assert any(r["u"] < pools[r["region"]] for r in uniq)
+
+
+def test_apply_swaps_raises_without_a_victim(spark):
+    """Both members are used once region-wide, so neither can make way for
+    the missing ingredient: the swap step names the recipe instead of
+    leaving the ingredient out."""
+    spec = RegionSpec("KOR", 10, np.arange(12), np.ones(12), -1, recipe_offset=100)
+    recipes = spark.createDataFrame([(105, "KOR", 2, [1, 2])], CORPUS_SCHEMA)
+    swapped = _apply_swaps(recipes, (spec,), {("KOR", 5): [9]}, {"KOR": {1: 1, 2: 1}})
+    with pytest.raises(PythonException, match="ValueError: region KOR, recipe 105: no member can make way for ingredient 9"):
+        swapped.collect()

@@ -4,7 +4,7 @@ import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
-from repro.core.pairing import PAD_ID, member_overlap, shared_matrix
+from repro.core.pairing import PAD_ID, pad_members, padded_overlap, shared_matrix
 from repro.flavordb.profiles import shared_matrix_numpy
 from repro.oracle import assert_equivalent
 from tests.reference import cuisine_scores, recipe_scores_fast, recipe_scores_join, shared_pairs
@@ -173,35 +173,37 @@ def test_cuisine_scores_match_oracle(corpus_small, overlap_matrix):
     )
 
 
-# --- member_overlap input checks: one bad row each -------------------------
-def _kernel_batch(bad_ingredients, bad_n=None):
-    ingredients = [[0, 1, 2], [1, 2], bad_ingredients]
-    n = [3, 2, len(bad_ingredients) if bad_n is None else bad_n]
-    return pd.DataFrame({"recipe_id": [5, 6, 7], "n": n, "ingredients": ingredients})
+# --- member overlap (pad_members + padded_overlap) input checks: one bad row each
+def _kernel_overlap(bad_ingredients, bad_n=None):
+    """Padded ids and T_{R,i} of recipes 5, 6 and a bad recipe 7."""
+    ingredients = pd.Series([[0, 1, 2], [1, 2], bad_ingredients])
+    n = np.array([3, 2, len(bad_ingredients) if bad_n is None else bad_n])
+    ids, lengths = pad_members(ingredients)
+    return ids, padded_overlap(ids, lengths, n, lambda row: f"recipe {5 + row}", _micro_matrix())
 
 
 def test_member_overlap_values():
-    ids, t = member_overlap(_kernel_batch([0, 1]), _micro_matrix())
+    ids, t = _kernel_overlap([0, 1])
     assert ids.tolist() == [[0, 1, 2], [1, 2, PAD_ID], [0, 1, PAD_ID]]
     assert t.tolist() == [[2, 2, 0], [0, 0, 0], [2, 2, 0]]
 
 
 def test_member_overlap_rejects_wrong_n():
     with pytest.raises(ValueError, match="recipe 7: n differs"):
-        member_overlap(_kernel_batch([0, 1], bad_n=3), _micro_matrix())
+        _kernel_overlap([0, 1], bad_n=3)
 
 
 @pytest.mark.parametrize("bad_id", [-1, PAD_ID, PAD_ID + 5])
 def test_member_overlap_rejects_id_out_of_range(bad_id):
     with pytest.raises(ValueError, match="recipe 7: ingredient id outside"):
-        member_overlap(_kernel_batch([0, bad_id]), _micro_matrix())
+        _kernel_overlap([0, bad_id])
 
 
 def test_member_overlap_rejects_duplicate_member():
     with pytest.raises(ValueError, match="recipe 7: duplicate ingredient"):
-        member_overlap(_kernel_batch([1, 0, 1]), _micro_matrix())
+        _kernel_overlap([1, 0, 1])
 
 
 def test_member_overlap_rejects_single_ingredient():
     with pytest.raises(ValueError, match="recipe 7: fewer than 2"):
-        member_overlap(_kernel_batch([2]), _micro_matrix())
+        _kernel_overlap([2])
