@@ -15,8 +15,11 @@ from repro.culinarydb.corpus import build_corpus
 
 def run(spark: SparkSession, scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
     corpus = build_corpus(spark, scale=scale, seed=seed).persist()
-    per_region = category_shares(spark, corpus).toPandas()
-    world = world_category_shares(spark, corpus).toPandas()
+    try:
+        per_region = category_shares(spark, corpus).toPandas()
+        world = world_category_shares(spark, corpus).toPandas()
+    finally:
+        corpus.unpersist()
     world["region"] = "WORLD"
     return pd.concat([per_region, world[["region", "category", "count", "share"]]])
 

@@ -18,8 +18,11 @@ def run(
     spark: SparkSession, scale: float = 1.0, seed: int = 11
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
     corpus = build_corpus(spark, scale=scale, seed=seed).persist()
-    sizes = recipe_size_summary(corpus).toPandas().sort_values("region")
-    ranks = rank_frequency(corpus).toPandas()
+    try:
+        sizes = recipe_size_summary(corpus).toPandas().sort_values("region")
+        ranks = rank_frequency(corpus).toPandas()
+    finally:
+        corpus.unpersist()
     grid = [0.05, 0.1, 0.2, 0.3, 0.5, 0.8]
     rows = []
     for region, g in ranks.groupby("region"):

@@ -24,9 +24,11 @@ def run(
     n_rand: int = 100_000,
 ) -> pd.DataFrame:
     corpus = build_corpus(spark, scale=scale, seed=seed).persist()
-    corpus.count()
-    matrix = shared_matrix()
-    table = food_pairing_table(spark, corpus, matrix, n_rand=n_rand, seed=seed + 6)
+    try:
+        corpus.count()
+        table = food_pairing_table(spark, corpus, shared_matrix(), n_rand=n_rand, seed=seed + 6)
+    finally:
+        corpus.unpersist()
     signs = {r.code: r.pairing_sign for r in REGIONS}
     table["paper_sign"] = table["region"].map(signs)
     table["sign_ok"] = np.sign(table["z_real"]) == table["paper_sign"]

@@ -6,7 +6,7 @@ offline-unavailable, so this package generates the closest synthetic
 equivalent, targeting the paper's published corpus properties *by
 construction*:
 
-* exact Table 1 recipe counts per region and (via a coverage pass)
+* exact Table 1 recipe counts per region and (via the coverage plan)
   unique-ingredient counts;
 * thin-tailed recipe-size distribution with mean ≈ 9 (Fig. 3a);
 * Zipf ingredient popularity, the consistent rank–frequency scaling of

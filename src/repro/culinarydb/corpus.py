@@ -1,13 +1,17 @@
-"""Assemble the synthetic recipe corpus as Spark DataFrames.
+"""Assemble the synthetic recipe corpus as a Spark DataFrame.
 
-Generation is sharded into batches and expanded with ``mapInPandas``;
+Generation is sharded into batches and expanded with one ``mapInPandas``;
 each batch is deterministic in (region, batch start, seed) so output is
 identical regardless of partition placement or recomputation.
 
-A *coverage pass* then guarantees the Table 1 unique-ingredient counts:
-ingredients of a region's pool that random sampling never used are
-swapped into deterministic recipes, replacing the most popular member
-(whose thousands of other occurrences make the distortion negligible).
+A *coverage plan* guarantees the Table 1 unique-ingredient counts. The
+driver generates each region's batches once, counts ingredient usage
+with NumPy, and deals the pool ingredients that sampling never used
+round-robin over the region's recipes. Each one replaces, in place, the
+recipe's most-used member among those used at least twice region-wide
+(whose other occurrences make the distortion negligible). The
+``mapInPandas`` pass overrides the planned recipes with their fixed
+members, so ``build_corpus`` starts no Spark job.
 
 Schema of the corpus DataFrame::
 
@@ -57,13 +61,61 @@ _PLAN_SCHEMA = StructType(
 )
 
 
-def _generate_df(spark: SparkSession, specs: tuple[RegionSpec, ...], seed: int) -> DataFrame:
-    """Expand a (region, batch) plan into recipes via mapInPandas."""
-    plan_rows = [
-        (s.code, start, min(BATCH_SIZE, s.n_recipes - start))
-        for s in specs
-        for start in range(0, s.n_recipes, BATCH_SIZE)
+def _batches(spec: RegionSpec) -> list[tuple[int, int]]:
+    """(start, count) of each generation batch of a region."""
+    return [
+        (start, min(BATCH_SIZE, spec.n_recipes - start))
+        for start in range(0, spec.n_recipes, BATCH_SIZE)
     ]
+
+
+def _coverage_fixes(
+    specs: tuple[RegionSpec, ...], seed: int
+) -> dict[tuple[str, int], np.ndarray]:
+    """Plan the swaps that bring every unused pool ingredient into its region.
+
+    Returns ``{(region, local_idx): fixed ingredient ids}`` for the recipes
+    that change. Raises ``ValueError`` naming the region, the recipe and
+    the ingredient when no member of the recipe can make way for it,
+    rather than leave the ingredient out of the region's Table 1 count.
+    """
+    fixes: dict[tuple[str, int], np.ndarray] = {}
+    for spec in specs:
+        recipes = [
+            r for start, count in _batches(spec) for r in generate_batch(spec, start, count, seed)[1]
+        ]
+        used, counts = np.unique(np.concatenate(recipes), return_counts=True)
+        inserts: dict[int, list[int]] = {}
+        for k, ing in enumerate(spec.pool[~np.isin(spec.pool, used)].tolist()):
+            inserts.setdefault(k % spec.n_recipes, []).append(ing)
+        for local, new in inserts.items():
+            members = recipes[local].astype(np.int64)
+            # A victim must be used at least twice region-wide, so removing
+            # one occurrence leaves another; an inserted member counts 0.
+            member_counts = counts[np.searchsorted(used, members)]
+            for ing in new:
+                eligible = np.flatnonzero(member_counts >= 2)
+                if not eligible.size:
+                    raise ValueError(
+                        f"region {spec.code}, recipe {spec.recipe_offset + local}: "
+                        f"no member can make way for ingredient {ing}"
+                    )
+                # The most-used member; ties go to the larger id.
+                victim = eligible[np.lexsort((members[eligible], member_counts[eligible]))[-1]]
+                members[victim], member_counts[victim] = ing, 0
+            fixes[(spec.code, local)] = members
+    return fixes
+
+
+def build_corpus(spark: SparkSession, *, scale: float = 1.0, seed: int = 11) -> DataFrame:
+    """Build the recipe corpus at ``scale`` (1.0 → the paper's 45,772).
+
+    The coverage plan makes the per-region unique-ingredient counts hit
+    the Table 1 targets exactly.
+    """
+    specs = region_specs(scale, seed)
+    fixes = _coverage_fixes(specs, seed)
+    plan_rows = [(s.code, start, count) for s in specs for start, count in _batches(s)]
     plan = spark.createDataFrame(plan_rows, _PLAN_SCHEMA).repartition(
         max(1, min(len(plan_rows), spark.sparkContext.defaultParallelism))
     )
@@ -72,113 +124,21 @@ def _generate_df(spark: SparkSession, specs: tuple[RegionSpec, ...], seed: int) 
     def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
             for code, start, count in pdf.itertuples(index=False):
-                spec = by_code[code]
-                sizes, recipes = generate_batch(spec, int(start), int(count), seed)
+                spec, start, count = by_code[code], int(start), int(count)
+                sizes, recipes = generate_batch(spec, start, count, seed)
                 yield pd.DataFrame(
                     {
                         "recipe_id": spec.recipe_offset + start + np.arange(count),
                         "region": code,
                         "n": sizes.astype(np.int32),
-                        "ingredients": [r.astype(np.int64) for r in recipes],
+                        "ingredients": [
+                            fixes.get((code, start + i), r).astype(np.int64)
+                            for i, r in enumerate(recipes)
+                        ],
                     }
                 )
 
     return plan.mapInPandas(gen, CORPUS_SCHEMA)
-
-
-def _coverage_plan(
-    recipes: DataFrame, specs: tuple[RegionSpec, ...]
-) -> tuple[dict[tuple[str, int], list[int]], dict[str, dict[int, int]]]:
-    """Find pool ingredients never sampled and plan deterministic swaps.
-
-    Returns (swaps, counts): ``swaps[(region, local_idx)]`` lists
-    ingredient ids to insert into that recipe; ``counts[region]`` maps
-    ingredient id → usage count (for victim selection).
-    """
-    usage = (
-        recipes.select("region", F.explode("ingredients").alias("ingredient_id"))
-        .groupBy("region", "ingredient_id")
-        .count()
-        .toPandas()
-    )
-    counts: dict[str, dict[int, int]] = {
-        region: dict(zip(g["ingredient_id"], g["count"]))
-        for region, g in usage.groupby("region")
-    }
-    swaps: dict[tuple[str, int], list[int]] = {}
-    for spec in specs:
-        used = counts.get(spec.code, {})
-        missing = [int(i) for i in spec.pool if int(i) not in used]
-        for k, ing in enumerate(missing):
-            swaps.setdefault((spec.code, k % spec.n_recipes), []).append(ing)
-    return swaps, counts
-
-
-def _apply_swaps(
-    recipes: DataFrame,
-    specs: tuple[RegionSpec, ...],
-    swaps: dict[tuple[str, int], list[int]],
-    counts: dict[str, dict[int, int]],
-) -> DataFrame:
-    """Swap missing ingredients into their planned recipes.
-
-    Raises ``ValueError`` naming the region, the recipe and the ingredient
-    when no member of the recipe can make way for it, rather than leave
-    the ingredient out of the region's Table 1 count.
-    """
-    offsets = {s.code: s.recipe_offset for s in specs}
-
-    def fix(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            out_ing = list(pdf["ingredients"])
-            for row_i, (rid, region) in enumerate(zip(pdf["recipe_id"], pdf["region"])):
-                local = int(rid) - offsets[region]
-                inserts = swaps.get((region, local))
-                if not inserts:
-                    continue
-                ing = list(out_ing[row_i])
-                cnt = counts[region]
-                replaced: set[int] = set()
-                for new_ing in inserts:
-                    # Victim: the most-used member not already swapped in
-                    # this pass and used at least twice region-wide, so
-                    # removing one occurrence cannot orphan it.
-                    cand = [
-                        (cnt.get(int(x), 0), int(x))
-                        for x in ing
-                        if int(x) not in replaced and cnt.get(int(x), 0) >= 2
-                    ]
-                    if not cand:
-                        raise ValueError(
-                            f"region {region}, recipe {int(rid)}: no member can make way for ingredient {new_ing}"
-                        )
-                    victim = max(cand)[1]
-                    ing[ing.index(victim)] = new_ing
-                    replaced.add(new_ing)
-                out_ing[row_i] = np.asarray(ing, dtype=np.int64)
-            pdf = pdf.copy()
-            pdf["ingredients"] = out_ing
-            yield pdf
-
-    return recipes.mapInPandas(fix, CORPUS_SCHEMA)
-
-
-def build_corpus(spark: SparkSession, *, scale: float = 1.0, seed: int = 11) -> DataFrame:
-    """Build the recipe corpus at ``scale`` (1.0 → the paper's 45,772).
-
-    The coverage pass then makes the per-region unique-ingredient counts
-    hit the Table 1 targets exactly.
-    """
-    specs = region_specs(scale, seed)
-    recipes = _generate_df(spark, specs, seed).persist()
-    try:
-        swaps, cnts = _coverage_plan(recipes, specs)
-    except Exception:
-        recipes.unpersist()
-        raise
-    if not swaps:
-        return recipes
-    return _apply_swaps(recipes, specs, swaps, cnts)
 
 
 def explode_corpus(recipes: DataFrame) -> DataFrame:

@@ -1,6 +1,7 @@
 """Catalyst join forms of the overlap table and of N_s^R, per-recipe
 DataFrame forms of N_s^R, N_s^C and the random recipes, and the loop
-form of the randomized-cuisine generators.
+forms of the randomized-cuisine generators and of the corpus coverage
+swaps.
 
 Reference implementations only: the package builds the overlap matrix
 with :func:`repro.flavordb.profiles.shared_matrix_numpy` and scores
@@ -21,6 +22,7 @@ from pyspark.sql.types import ArrayType, DoubleType, IntegerType, LongType, Stri
 
 from repro.core.pairing import pad_members, padded_overlap
 from repro.core.randomize import RegionInputs, batch_plan, model_batch
+from repro.culinarydb.generator import RegionSpec
 
 RANDOM_SCHEMA = StructType(
     [
@@ -177,3 +179,26 @@ def random_recipes(
                 )
 
     return plan.mapInPandas(gen, RANDOM_SCHEMA)
+
+
+def coverage_fixes_loop(spec: RegionSpec, raw: list[np.ndarray]) -> dict[int, list[int]]:
+    """Loop form of one region's coverage swaps: ``{local_idx: members}``.
+
+    Counts usage in a dict, deals the pool members that ``raw`` never uses
+    round-robin over the recipes, and swaps each in for the member with
+    the largest ``(count, id)`` among those used at least twice and not
+    swapped in before.
+    """
+    counts: dict[int, int] = {}
+    for recipe in raw:
+        for x in recipe.tolist():
+            counts[x] = counts.get(x, 0) + 1
+    missing = [i for i in spec.pool.tolist() if i not in counts]
+    fixes: dict[int, list[int]] = {}
+    replaced: set[int] = set()
+    for k, ing in enumerate(missing):
+        members = fixes.setdefault(k % spec.n_recipes, raw[k % spec.n_recipes].tolist())
+        victim = max((counts[x], x) for x in members if x not in replaced and counts.get(x, 0) >= 2)[1]
+        members[members.index(victim)] = ing
+        replaced.add(ing)
+    return fixes

@@ -3,13 +3,15 @@ import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
 import pytest
-from pyspark.errors import PythonException
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.culinarydb.corpus import CORPUS_SCHEMA, _apply_swaps, _generate_df, build_corpus, explode_corpus
-from repro.culinarydb.generator import RegionSpec, region_specs
+from repro.culinarydb.corpus import _batches, _coverage_fixes, build_corpus
+from repro.culinarydb.generator import RegionSpec, generate_batch, region_specs
 from repro.flavordb.ingredients import N_INGREDIENTS
 from repro.oracle import assert_equivalent
 from repro.regions import REGIONS
+from tests.reference import coverage_fixes_loop
 
 
 def test_recipe_counts_exact(corpus_small):
@@ -87,11 +89,16 @@ def test_deterministic_rebuild(spark, corpus_small):
         assert x["ingredients"] == y["ingredients"]
 
 
-def test_different_seed_differs(spark, corpus_small):
-    other = _generate_df(spark, region_specs(0.02, 12, True), 12)
-    a = corpus_small.orderBy("recipe_id").limit(20).collect()
-    b = other.orderBy("recipe_id").limit(20).collect()
-    assert any(x["ingredients"] != y["ingredients"] for x, y in zip(a, b))
+def _raw(spec: RegionSpec, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A region's generated sizes and recipes before the coverage fixes."""
+    batches = [generate_batch(spec, start, count, seed) for start, count in _batches(spec)]
+    return np.concatenate([b[0] for b in batches]), [r for b in batches for r in b[1]]
+
+
+def test_different_seed_differs():
+    a = _raw(region_specs(0.02, 11, True)[0], 11)[1][:20]
+    b = _raw(region_specs(0.02, 12, True)[0], 12)[1][:20]
+    assert any(not np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_explode_matches_oracle(corpus_small, exploded_small):
@@ -114,25 +121,70 @@ def test_all_regions_present(corpus_small):
     assert regions == {r.code for r in REGIONS} | {"OTHER"}
 
 
-def test_scale_without_coverage_smaller_unique_counts(spark):
-    raw = _generate_df(spark, region_specs(0.02, 11, True), 11)
-    uniq = (
-        explode_corpus(raw)
-        .groupBy("region")
-        .agg(F.countDistinct("ingredient_id").alias("u"))
-        .collect()
-    )
-    pools = {s.code: len(s.pool) for s in region_specs(0.02, 11, True)}
-    # without the coverage pass at least one region misses pool members
-    assert any(r["u"] < pools[r["region"]] for r in uniq)
+def test_scale_without_coverage_smaller_unique_counts():
+    specs = region_specs(0.02, 11, True)
+    # without the coverage fixes at least one region misses pool members
+    assert any(len(np.unique(np.concatenate(_raw(s, 11)[1]))) < len(s.pool) for s in specs)
+    assert _coverage_fixes(specs, 11)
 
 
-def test_apply_swaps_raises_without_a_victim(spark):
-    """Both members are used once region-wide, so neither can make way for
-    the missing ingredient: the swap step names the recipe instead of
-    leaving the ingredient out."""
-    spec = RegionSpec("KOR", 10, np.arange(12), np.ones(12), -1, recipe_offset=100)
-    recipes = spark.createDataFrame([(105, "KOR", 2, [1, 2])], CORPUS_SCHEMA)
-    swapped = _apply_swaps(recipes, (spec,), {("KOR", 5): [9]}, {"KOR": {1: 1, 2: 1}})
-    with pytest.raises(PythonException, match="ValueError: region KOR, recipe 105: no member can make way for ingredient 9"):
-        swapped.collect()
+def test_coverage_raises_without_a_victim():
+    """Every member of the one recipe is used once region-wide, so none can
+    make way for the pool's unused ingredients: the planner names the
+    recipe instead of leaving them out."""
+    spec = RegionSpec("KOR", 1, np.arange(30), np.ones(30), -1, recipe_offset=100)
+    with pytest.raises(ValueError, match="region KOR, recipe 100: no member can make way for ingredient"):
+        _coverage_fixes((spec,), 11)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None)
+@given(scale=st.floats(0.01, 0.3), seed=st.integers(0, 2**16))
+def test_coverage_fixes_reach_every_pool_member(scale, seed):
+    specs = region_specs(scale, seed, True)
+    fixes = _coverage_fixes(specs, seed)
+    for spec in specs:
+        sizes, raw = _raw(spec, seed)
+        fixed = [fixes.get((spec.code, local), r) for local, r in enumerate(raw)]
+        final = np.concatenate(fixed)
+        assert np.array_equal(np.unique(final), np.sort(spec.pool))
+        assert {local: f.tolist() for (code, local), f in fixes.items() if code == spec.code} == (
+            coverage_fixes_loop(spec, raw)
+        )
+        missing = set(spec.pool.tolist()) - set(np.concatenate(raw).tolist())
+        inserted: dict[int, int] = {}
+        for k in range(len(missing)):
+            inserted[k % spec.n_recipes] = inserted.get(k % spec.n_recipes, 0) + 1
+        for local, before in enumerate(raw):
+            after = fixed[local]
+            assert len(after) == len(np.unique(after)) == sizes[local]
+            assert np.count_nonzero(after != before) == inserted.get(local, 0)
+            for gone in np.setdiff1d(before, after):
+                assert np.count_nonzero(final == gone) >= 1
+
+
+def test_spark_corpus_equals_driver_generation(corpus_small):
+    """The executors' corpus is the driver's raw generation with the planned
+    fixes applied, row for row and member for member."""
+    got = corpus_small.toPandas().sort_values("recipe_id").reset_index(drop=True)
+    specs = region_specs(0.02, 11, True)
+    fixes = _coverage_fixes(specs, 11)
+    rows = []
+    for spec in specs:
+        sizes, raw = _raw(spec, 11)
+        for local, (n, r) in enumerate(zip(sizes, raw)):
+            rows.append((spec.recipe_offset + local, spec.code, n, fixes.get((spec.code, local), r)))
+    assert got["recipe_id"].tolist() == [r[0] for r in rows]
+    assert got["region"].tolist() == [r[1] for r in rows]
+    assert got["n"].tolist() == [r[2] for r in rows]
+    for a, (*_, b) in zip(got["ingredients"], rows):
+        assert np.array_equal(a, b)
+
+
+def test_build_corpus_starts_no_spark_job(spark):
+    sc = spark.sparkContext
+    sc.setJobGroup("build_corpus_call", "build_corpus only defines the corpus")
+    try:
+        build_corpus(spark, scale=0.02, seed=12)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert sc.statusTracker().getJobIdsForGroup("build_corpus_call") == []

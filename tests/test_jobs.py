@@ -11,6 +11,8 @@ from tests.conftest import SEED
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "jobs"))
 
 import build_corpus  # noqa: E402
+import t2_category_heatmap  # noqa: E402
+import t3_size_popularity  # noqa: E402
 import t4_food_pairing  # noqa: E402
 import t5_contributions  # noqa: E402
 
@@ -60,6 +62,19 @@ def test_t4_run_finite_z_for_every_region_and_model(spark):
     assert table["region"].nunique() == len(table) == 23
     z = table[["z_real", "z_frequency", "z_category", "z_freq_cat"]].to_numpy(dtype=float)
     assert np.isfinite(z).all()
+
+
+@pytest.mark.parametrize(
+    "run",
+    [t2_category_heatmap.run, t3_size_popularity.run,
+     lambda spark, scale, seed: t4_food_pairing.run(spark, scale, seed, n_rand=200)],
+    ids=["t2", "t3", "t4"],
+)
+def test_run_releases_the_corpus_it_caches(spark, run):
+    persistent = spark.sparkContext._jsc.getPersistentRDDs
+    before = persistent().size()
+    run(spark, SCALE, SEED)
+    assert persistent().size() == before
 
 
 def test_build_corpus_run_writes_corpus_and_profiles(spark, corpus_small, tmp_path):
