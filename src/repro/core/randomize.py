@@ -11,8 +11,8 @@ size distribution; they differ in how recipe ingredients are drawn:
   frequency-weighted within each category.
 
 Model inputs (pools, frequencies, sizes, the real recipes) are derived
-from the corpus with Spark aggregations; :func:`batch_plan` lists
-(region, model, batch) rows for the models and for ``REAL``, the
+from the corpus with Spark aggregations; :func:`batch_plan` lists, on the
+driver, (region, model, batch) rows for the models and for ``REAL``, the
 cuisine's own recipes.  Random batches use vectorized Gumbel top-k
 weighted sampling without replacement (Efraimidis & Spirakis, IPL 2006).
 Each batch is a (count × max size) member matrix padded with ``PAD_ID``,
@@ -39,8 +39,6 @@ REAL = "real"
 
 #: Recipes per (region, model) batch of the plan.
 BATCH_SIZE = 5000
-
-_PLAN_SCHEMA = "region string, model string, start int, count int"
 
 
 @dataclass
@@ -180,28 +178,21 @@ def model_batch(
 
 
 def batch_plan(
-    spark: SparkSession,
-    inputs: dict[str, RegionInputs],
-    models: tuple[str, ...],
-    n_rand: int,
-) -> DataFrame:
-    """One row per (region, model, start, count) batch of ≤ ``BATCH_SIZE``.
+    inputs: dict[str, RegionInputs], models: tuple[str, ...], n_rand: int
+) -> list[tuple[str, str, int, int]]:
+    """One (region, model, start, count) row per batch of ≤ ``BATCH_SIZE``.
 
     Each randomized model gets ``n_rand`` recipes per region; ``REAL``
-    gets the region's own recipes.  Rows are spread round-robin over up
-    to twice the default parallelism.
+    gets the region's own recipes.  Rows come in (region, model, start)
+    order; :func:`repro.core.zscore.model_moments` deals them to its tasks.
     """
     unknown = set(models) - {REAL, *MODELS}
     if unknown:
         raise ValueError(f"unknown model {sorted(unknown)}; expected {REAL!r} or one of {MODELS}")
-    plan_rows = []
-    for code, inp in sorted(inputs.items()):
-        for model in models:
-            total = len(inp.sizes) if model == REAL else n_rand
-            plan_rows += [
-                (code, model, start, min(BATCH_SIZE, total - start))
-                for start in range(0, total, BATCH_SIZE)
-            ]
-    return spark.createDataFrame(plan_rows, _PLAN_SCHEMA).repartition(
-        max(1, min(len(plan_rows), spark.sparkContext.defaultParallelism * 2))
-    )
+    return [
+        (code, model, start, min(BATCH_SIZE, total - start))
+        for code, inp in sorted(inputs.items())
+        for model in models
+        for total in [len(inp.sizes) if model == REAL else n_rand]
+        for start in range(0, total, BATCH_SIZE)
+    ]

@@ -32,42 +32,59 @@ from repro.core.randomize import (
 _MOMENTS_SCHEMA = "region string, model string, start int, count int, mean double, m2 double"
 
 
+def _deal(plan: list[tuple], inputs: dict[str, RegionInputs], slots: int) -> list[list[tuple]]:
+    """``plan`` dealt to ``slots`` lists: largest batch first, each to the
+    least-loaded list, a batch costing count × pool size."""
+    dealt, loads = [[] for _ in range(slots)], [0] * slots
+    for cost, batch in sorted(((b[3] * len(inputs[b[0]].pool), b) for b in plan), reverse=True):
+        k = loads.index(min(loads))
+        dealt[k].append(batch)
+        loads[k] += cost
+    return dealt
+
+
 def model_moments(
-    plan: DataFrame,
+    spark: SparkSession,
+    plan: list[tuple],
     inputs: dict[str, RegionInputs],
     matrix: np.ndarray,
     seed: int,
 ) -> pd.DataFrame:
     """(region, model, ns, sigma, n_recipes) of the planned cuisines.
 
-    ``plan`` is a :func:`repro.core.randomize.batch_plan`.  One
-    ``mapInPandas`` pass takes each batch from
-    :func:`repro.core.randomize.model_batch`, scores it with
+    ``plan`` is a :func:`repro.core.randomize.batch_plan`, dealt on the
+    driver to one slot per core.  One ``mapInPandas`` over a ``range`` of
+    one row per slot, a single wave of tasks with no shuffle, takes each
+    batch from :func:`repro.core.randomize.model_batch`, scores it with
     :func:`repro.core.pairing.padded_overlap` (member counts read from the
     padded matrix, so a recipe whose ``n`` differs fails its checks) and
     emits only its (count, mean, M2).  :func:`merge_moments` combines the
-    batches on the driver.
+    batches on the driver.  Both broadcasts are destroyed on return.
     """
-    spark = plan.sparkSession
+    dealt = _deal(plan, inputs, spark.sparkContext.defaultParallelism)
     bc_inputs = spark.sparkContext.broadcast(inputs)
     bc_matrix = spark.sparkContext.broadcast(matrix)
 
-    def moments(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def moments(slots: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         inps, s = bc_inputs.value, bc_matrix.value
-        for pdf in batches:
-            rows = []
-            for code, model, start, count in pdf.itertuples(index=False):
-                sizes, ids = model_batch(inps[code], model, start, count, seed)
-                t = padded_overlap(
-                    ids, (ids != PAD_ID).sum(axis=1), sizes,
-                    lambda row: f"region {code}, model {model}, recipe {start + row}", s,
-                )
-                score = t.sum(axis=1) / (sizes * (sizes - 1.0))
-                mean = score.mean()
-                rows.append((code, model, start, count, mean, ((score - mean) ** 2).sum()))
-            yield pd.DataFrame(rows, columns=["region", "model", "start", "count", "mean", "m2"])
+        rows = []
+        for code, model, start, count in (b for pdf in slots for k in pdf["id"] for b in dealt[k]):
+            sizes, ids = model_batch(inps[code], model, start, count, seed)
+            t = padded_overlap(
+                ids, (ids != PAD_ID).sum(axis=1), sizes,
+                lambda row: f"region {code}, model {model}, recipe {start + row}", s,
+            )
+            score = t.sum(axis=1) / (sizes * (sizes - 1.0))
+            mean = score.mean()
+            rows.append((code, model, start, count, mean, ((score - mean) ** 2).sum()))
+        yield pd.DataFrame(rows, columns=["region", "model", "start", "count", "mean", "m2"])
 
-    return merge_moments(plan.mapInPandas(moments, _MOMENTS_SCHEMA).toPandas())
+    try:
+        wave = spark.range(0, len(dealt), 1, len(dealt)).mapInPandas(moments, _MOMENTS_SCHEMA)
+        return merge_moments(wave.toPandas())
+    finally:
+        bc_inputs.destroy()
+        bc_matrix.destroy()
 
 
 def merge_moments(batches: pd.DataFrame) -> pd.DataFrame:
@@ -112,8 +129,8 @@ def food_pairing_table(
     the real recipes as the plan's ``REAL`` batches.
     """
     inputs = region_model_inputs(spark, corpus)
-    plan = batch_plan(spark, inputs, (REAL, *MODELS), n_rand)
-    wide = model_moments(plan, inputs, matrix, seed).pivot(index="region", columns="model")
+    plan = batch_plan(inputs, (REAL, *MODELS), n_rand)
+    wide = model_moments(spark, plan, inputs, matrix, seed).pivot(index="region", columns="model")
     ns, sigma = wide["ns"], wide["sigma"]
 
     def z(model: str) -> pd.Series:

@@ -160,7 +160,9 @@ def random_recipes(
     across regions: region k of ``sorted(inputs)`` holds ids k·n_rand to
     (k+1)·n_rand − 1.
     """
-    plan = batch_plan(spark, inputs, (model,), n_rand)
+    plan = spark.createDataFrame(
+        batch_plan(inputs, (model,), n_rand), "region string, model string, start int, count int"
+    )
     first_id = {code: k * n_rand for k, code in enumerate(sorted(inputs))}
     bc = spark.sparkContext.broadcast(inputs)
 

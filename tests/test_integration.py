@@ -73,7 +73,7 @@ def test_cuisine_scores_stable_across_paths(
         for df in (
             cuisine_scores(recipe_scores_join(exploded_small, pairs_df)).toPandas(),
             cuisine_scores(recipe_scores_fast(corpus_small, overlap_matrix)).toPandas(),
-            model_moments(batch_plan(spark, inputs, (REAL,), 1), inputs, overlap_matrix, seed=0),
+            model_moments(spark, batch_plan(inputs, (REAL,), 1), inputs, overlap_matrix, seed=0),
         )
     )
     assert np.abs(via_join["ns"] - via_fast["ns"]).max() < 1e-9

@@ -1,5 +1,6 @@
 """Fig. 4 Z-score computation and qualitative reproduction on a subset."""
 import dataclasses
+import os
 
 import numpy as np
 import pandas as pd
@@ -9,7 +10,8 @@ import pytest
 
 from repro.core.pairing import PAD_ID
 from repro.core.randomize import MODELS, REAL, batch_plan, region_model_inputs
-from repro.core.zscore import food_pairing_table, merge_moments, model_moments
+from repro.core import zscore
+from repro.core.zscore import _deal, food_pairing_table, merge_moments, model_moments
 from repro.regions import by_code
 from tests.reference import cuisine_scores, random_recipes, recipe_scores_fast
 
@@ -100,10 +102,10 @@ def unfused(spark, small_inputs, overlap_matrix):
     }
 
 
-@pytest.mark.parametrize("partitions", [1, 5])
-def test_fused_moments_equal_unfused(spark, small_inputs, overlap_matrix, unfused, partitions):
-    plan = batch_plan(spark, small_inputs, MODELS, N_FUSED).repartition(partitions)
-    got = model_moments(plan, small_inputs, overlap_matrix, seed=23)
+@pytest.mark.parametrize("slots", [1, 5])
+def test_fused_moments_equal_unfused(spark, small_inputs, overlap_matrix, unfused, slots, monkeypatch):
+    monkeypatch.setattr(zscore, "_deal", lambda plan, inputs, _: _deal(plan, inputs, slots))
+    got = model_moments(spark, batch_plan(small_inputs, MODELS, N_FUSED), small_inputs, overlap_matrix, seed=23)
     assert len(got) == len(MODELS) * len(small_inputs)
     for model, g in got.groupby("model"):
         g = g.set_index("region").sort_index()
@@ -111,6 +113,42 @@ def test_fused_moments_equal_unfused(spark, small_inputs, overlap_matrix, unfuse
         assert (g["n_recipes"] == ref["n_recipes"]).all()
         np.testing.assert_allclose(g["ns"], ref["ns"], rtol=1e-9)
         np.testing.assert_allclose(g["sigma"], ref["sigma"], rtol=1e-9)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 5])
+def test_deal_assigns_every_batch_once(small_inputs, slots):
+    """Every plan row lands in exactly one slot, and the slots' loads
+    differ by at most the costliest batch."""
+    plan = batch_plan(small_inputs, (REAL, *MODELS), N_FUSED)
+    dealt = _deal(plan, small_inputs, slots)
+    assert len(dealt) == slots
+    assert sorted(b for slot in dealt for b in slot) == sorted(plan)
+    cost = [[count * len(small_inputs[code].pool) for code, _, _, count in slot] for slot in dealt]
+    loads = [sum(c) for c in cost]
+    assert max(loads) - min(loads) <= max(max(c) for c in cost if c)
+
+
+def test_model_moments_is_one_wave(spark, small_inputs, overlap_matrix):
+    """The fused stage is one job of one stage with one task per core."""
+    sc, group = spark.sparkContext, "test_model_moments_is_one_wave"
+    prev = sc.getLocalProperty("spark.jobGroup.id")
+    sc.setLocalProperty("spark.jobGroup.id", group)
+    try:
+        model_moments(spark, batch_plan(small_inputs, (REAL, *MODELS), N_FUSED), small_inputs, overlap_matrix, seed=23)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", prev)
+    tracker = sc.statusTracker()
+    (job,) = tracker.getJobIdsForGroup(group)
+    (stage,) = tracker.getJobInfo(job).stageIds
+    assert tracker.getStageInfo(stage).numTasks == sc.defaultParallelism
+
+
+def test_food_pairing_table_releases_its_broadcasts(spark, corpus_small, overlap_matrix):
+    """No pickled broadcast is left behind in the context's temp dir."""
+    temp = spark.sparkContext._temp_dir
+    before = len(os.listdir(temp))
+    food_pairing_table(spark, corpus_small.where(F.col("region") == "KOR"), overlap_matrix, n_rand=200)
+    assert len(os.listdir(temp)) == before
 
 
 def test_merge_moments_equals_numpy():
@@ -143,10 +181,10 @@ def test_model_moments_checks_random_recipes(spark, small_inputs, overlap_matrix
     pool[np.argmax(inp.counts)] = PAD_ID + 3
     bad = {**small_inputs, "KOR": dataclasses.replace(inp, pool=pool)}
     with pytest.raises(PythonException, match=r"ValueError: region KOR, model \w+, recipe \d+: ingredient id outside"):
-        model_moments(batch_plan(spark, bad, MODELS, 200), bad, overlap_matrix, seed=23)
+        model_moments(spark, batch_plan(bad, MODELS, 200), bad, overlap_matrix, seed=23)
 
     sizes = inp.sizes.copy()
     sizes[4] += 1
     bad = {**small_inputs, "KOR": dataclasses.replace(inp, sizes=sizes)}
     with pytest.raises(PythonException, match=r"ValueError: region KOR, model real, recipe 4: n differs"):
-        model_moments(batch_plan(spark, bad, (REAL,), 200), bad, overlap_matrix, seed=23)
+        model_moments(spark, batch_plan(bad, (REAL,), 200), bad, overlap_matrix, seed=23)
