@@ -32,15 +32,9 @@ from repro.core.randomize import (
 _MOMENTS_SCHEMA = "region string, model string, start int, count int, mean double, m2 double"
 
 
-def _deal(plan: list[tuple], inputs: dict[str, RegionInputs], slots: int) -> list[list[tuple]]:
-    """``plan`` dealt to ``slots`` lists: largest batch first, each to the
-    least-loaded list, a batch costing count × pool size."""
-    dealt, loads = [[] for _ in range(slots)], [0] * slots
-    for cost, batch in sorted(((b[3] * len(inputs[b[0]].pool), b) for b in plan), reverse=True):
-        k = loads.index(min(loads))
-        dealt[k].append(batch)
-        loads[k] += cost
-    return dealt
+def _deal(plan: list[tuple], slots: int) -> list[list[tuple]]:
+    """``plan`` dealt round-robin to ``slots`` lists."""
+    return [plan[k::slots] for k in range(slots)]
 
 
 def model_moments(
@@ -52,16 +46,16 @@ def model_moments(
 ) -> pd.DataFrame:
     """(region, model, ns, sigma, n_recipes) of the planned cuisines.
 
-    ``plan`` is a :func:`repro.core.randomize.batch_plan`, dealt on the
-    driver to one slot per core.  One ``mapInPandas`` over a ``range`` of
-    one row per slot, a single wave of tasks with no shuffle, takes each
-    batch from :func:`repro.core.randomize.model_batch`, scores it with
-    :func:`repro.core.pairing.padded_overlap` (member counts read from the
-    padded matrix, so a recipe whose ``n`` differs fails its checks) and
-    emits only its (count, mean, M2).  :func:`merge_moments` combines the
-    batches on the driver.  Both broadcasts are destroyed on return.
+    ``plan`` is a :func:`repro.core.randomize.batch_plan`, dealt
+    round-robin to one slot per core.  One ``mapInPandas`` over a
+    ``range`` of one row per slot (one wave of tasks, no shuffle) takes
+    each batch from :func:`repro.core.randomize.model_batch`, scores it
+    with :func:`repro.core.pairing.padded_overlap` (member counts read
+    from the padded matrix, so a recipe whose ``n`` differs fails its
+    checks) and emits only its (count, mean, M2).  :func:`merge_moments`
+    combines the batches on the driver; the broadcasts are destroyed.
     """
-    dealt = _deal(plan, inputs, spark.sparkContext.defaultParallelism)
+    dealt = _deal(plan, spark.sparkContext.defaultParallelism)
     bc_inputs = spark.sparkContext.broadcast(inputs)
     bc_matrix = spark.sparkContext.broadcast(matrix)
 
