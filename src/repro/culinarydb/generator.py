@@ -5,8 +5,11 @@ Table 1's unique-ingredient count), a popularity *ranking* over the pool
 (Zipf weights, Fig. 3b), and a recipe-size distribution (shifted Poisson,
 mean ≈ 9, Fig. 3a).  Recipes are sampled without replacement with
 probability ∝ zipf(rank) × category_boost, vectorized with the Gumbel
-top-k trick inside ``mapInPandas`` batches, so generation is distributed
-and deterministic in ``(scale, seed)`` regardless of partitioning.
+top-k trick per batch of recipes.  A batch is a pure function of
+``(scale, seed, region, start)``: the driver generates every batch once to
+plan the coverage swaps (``culinarydb.corpus._coverage_fixes``), and the
+``mapInPandas`` pass of ``build_corpus`` generates them again, so the
+corpus is deterministic regardless of partitioning.
 
 Pairing-sign mechanism (Fig. 4, encoded per DESIGN.md §2):
 

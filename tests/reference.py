@@ -17,6 +17,7 @@ from typing import Iterator
 import numpy as np
 import pandas as pd
 import pyspark.sql.functions as F
+from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import ArrayType, DoubleType, IntegerType, LongType, StringType, StructField, StructType
 
@@ -114,7 +115,8 @@ def recipe_scores_fast(recipes: DataFrame, matrix: np.ndarray) -> DataFrame:
 
     ``recipes`` must carry ``recipe_id``, ``n`` and ``ingredients``; output is
     the input schema plus a ``score`` column.  The matrix is shipped with
-    ``SparkContext.broadcast`` (one copy per executor, not per task).
+    ``SparkContext.broadcast`` (one copy per executor, not per task) and
+    released on return: see :func:`_release_after_run`.
     """
     spark = recipes.sparkSession
     bc = spark.sparkContext.broadcast(matrix)
@@ -134,7 +136,7 @@ def recipe_scores_fast(recipes: DataFrame, matrix: np.ndarray) -> DataFrame:
             t = padded_overlap(ids, lengths, sizes, lambda row: f"recipe {recipe_ids[row]}", s)
             yield pdf.assign(score=t.sum(axis=1) / (sizes * (sizes - 1.0)))
 
-    return recipes.mapInPandas(run, out_schema)
+    return _release_after_run(recipes.mapInPandas(run, out_schema), bc)
 
 
 def cuisine_scores(recipe_scores: DataFrame) -> DataFrame:
@@ -158,7 +160,8 @@ def random_recipes(
     Same schema as the real corpus, so :func:`recipe_scores_fast` scores
     both identically.  ``recipe_id`` is unique
     across regions: region k of ``sorted(inputs)`` holds ids k·n_rand to
-    (k+1)·n_rand − 1.
+    (k+1)·n_rand − 1.  The broadcast inputs are released on return: see
+    :func:`_release_after_run`.
     """
     plan = spark.createDataFrame(
         batch_plan(inputs, (model,), n_rand), "region string, model string, start int, count int"
@@ -180,7 +183,20 @@ def random_recipes(
                     }
                 )
 
-    return plan.mapInPandas(gen, RANDOM_SCHEMA)
+    return _release_after_run(plan.mapInPandas(gen, RANDOM_SCHEMA), bc)
+
+
+def _release_after_run(df: DataFrame, bc: Broadcast) -> DataFrame:
+    """``df`` computed once into a local checkpoint, then ``bc`` destroyed.
+
+    A broadcast keeps its pickle in the context's temp dir until it is
+    destroyed, and a lazy result would read ``bc`` again at each action.
+    The checkpoint cuts the lineage, so later actions never need it.
+    """
+    try:
+        return df.localCheckpoint()
+    finally:
+        bc.destroy()
 
 
 def coverage_fixes_loop(spec: RegionSpec, raw: list[np.ndarray]) -> dict[int, list[int]]:

@@ -149,6 +149,15 @@ def test_food_pairing_table_releases_its_broadcasts(spark, corpus_small, overlap
     assert len(os.listdir(temp)) == before
 
 
+def test_reference_oracles_release_their_broadcasts(spark, small_inputs, overlap_matrix):
+    """A consumed oracle call leaves no pickle in the context's temp dir."""
+    temp = spark.sparkContext._temp_dir
+    before = len(os.listdir(temp))
+    scored = recipe_scores_fast(random_recipes(spark, small_inputs, "random", 200, seed=23), overlap_matrix)
+    assert scored.count() == 200 * len(small_inputs)
+    assert len(os.listdir(temp)) == before
+
+
 def test_merge_moments_equals_numpy():
     """Chan et al.'s merge over uneven chunks, one of a single row."""
     rng = np.random.default_rng(4)
