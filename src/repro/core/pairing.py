@@ -9,8 +9,8 @@ pairs; the cuisine score N_s^C is the mean of N_s^R over recipes.
 
 One overlap matrix and one gather kernel serve every score:
 :func:`shared_matrix` builds the dense (N+1)² int32 |F_i ∩ F_j| matrix
-(≈3.6 MB) from the pandas profiles, with no Spark stage, as B·Bᵀ of the
-ingredient × molecule incidence matrix, and :func:`padded_overlap` checks
+(≈3.6 MB) from the pandas profiles, with no Spark stage, by counting the
+molecules each ingredient pair shares, and :func:`padded_overlap` checks
 a padded (recipes × max size) matrix of member ids and gathers each
 member's overlap T_{R,i}.  :func:`pad_members` pads ``ingredients``
 arrays into that matrix: χ in :mod:`repro.core.contribution` pads each

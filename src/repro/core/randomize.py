@@ -13,10 +13,12 @@ size distribution; they differ in how recipe ingredients are drawn:
 Model inputs (pools, frequencies, sizes, the real recipes) are derived
 from the corpus with Spark aggregations; :func:`batch_plan` lists, on the
 driver, (region, model, batch) rows for the models and for ``REAL``, the
-cuisine's own recipes.  Random batches use vectorized Gumbel top-k
-weighted sampling without replacement (Efraimidis & Spirakis, IPL 2006).
-Each batch is a (count × max size) member matrix padded with ``PAD_ID``,
-the layout :func:`repro.core.pairing.padded_overlap` scores, and depends
+cuisine's own recipes.  Random batches draw with the corpus's sampler,
+:func:`repro.culinarydb.generator.topk_rows`: the Gumbel top-k orders of
+the same uniform draws, ranked as Exp(1)/frequency keys (Efraimidis &
+Spirakis, IPL 2006), or as the draws themselves when uniform.  Each
+batch is a (count × max size) member matrix padded with ``PAD_ID``, the
+layout :func:`repro.core.pairing.padded_overlap` scores, and depends
 on (seed, region, model, batch start) and the inputs alone.
 """
 from __future__ import annotations
@@ -29,6 +31,7 @@ from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.pairing import PAD_ID, pad_members
 from repro.culinarydb.corpus import explode_corpus
+from repro.culinarydb.generator import topk_rows
 from repro.flavordb.ingredients import CATEGORIES, ingredient_master
 
 #: The four models, in the paper's order.
@@ -111,15 +114,13 @@ def _beyond_size(ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 def _uniform_or_freq_batch(
     rng: np.random.Generator, inp: RegionInputs, count: int, weighted: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`random` / `frequency` model: one Gumbel top-k per recipe.
+    """`random` / `frequency` model: one top-k draw over the pool per recipe.
 
     Returns ``(sizes, ids)``: ids is (count × max size), each row's
     members in key order, then ``PAD_ID``.
     """
     sizes = rng.choice(inp.sizes, size=count)
-    log_w = np.log(inp.counts) if weighted else np.zeros(len(inp.pool))
-    keys = log_w[None, :] + rng.gumbel(size=(count, len(inp.pool)))
-    order = np.argsort(-keys, axis=1)[:, : sizes.max()]
+    order = topk_rows(rng, inp.counts if weighted else None, count, len(inp.pool), sizes.max())
     return sizes, _beyond_size(inp.pool[order], sizes)
 
 
@@ -141,12 +142,10 @@ def _category_batch(
         if len(rows) == 0:
             continue
         members = np.nonzero(inp.cat_idx == c)[0]
-        log_w = (
-            np.log(inp.counts[members]) if weighted else np.zeros(len(members))
-        )
-        keys = log_w[None, :] + rng.gumbel(size=(len(rows), len(members)))
         k = k_vec[rows]
-        order = np.argsort(-keys, axis=1)[:, : k.max()]
+        order = topk_rows(
+            rng, inp.counts[members] if weighted else None, len(rows), len(members), k.max()
+        )
         block = np.full((count, k.max()), PAD_ID, dtype=np.int64)
         block[rows] = _beyond_size(inp.pool[members[order]], k)
         blocks.append(block)

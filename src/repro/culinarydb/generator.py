@@ -4,12 +4,17 @@ Each region gets a :class:`RegionSpec`: an ingredient *pool* (sized to
 Table 1's unique-ingredient count), a popularity *ranking* over the pool
 (Zipf weights, Fig. 3b), and a recipe-size distribution (shifted Poisson,
 mean ≈ 9, Fig. 3a).  Recipes are sampled without replacement with
-probability ∝ zipf(rank) × category_boost, vectorized with the Gumbel
-top-k trick per batch of recipes.  A batch is a pure function of
-``(scale, seed, region, start)``: the driver generates every batch once to
-plan the coverage swaps (``culinarydb.corpus._coverage_fixes``), and the
-``mapInPandas`` pass of ``build_corpus`` generates them again, so the
-corpus is deterministic regardless of partitioning.
+probability ∝ zipf(rank) × category_boost by :func:`topk_rows`, which
+:mod:`repro.core.randomize` shares: it ranks ``-log1p(-u) / w`` ascending,
+an Exp(1)/w key per uniform ``u`` (Efraimidis & Spirakis, IPL 2006).
+NumPy's ``gumbel`` takes the same one draw per element and returns
+``-log(-log(1 - u))``, so ``log w + gumbel`` ranks descending in the same
+order: these are the Gumbel top-k draws of the same stream.  A batch is
+a pure function of ``(scale, seed, region, start)``: the driver
+generates every batch once to plan the coverage swaps
+(``culinarydb.corpus._coverage_fixes``), and the ``mapInPandas`` pass of
+``build_corpus`` generates them again, so the corpus is deterministic
+regardless of partitioning.
 
 Pairing-sign mechanism (Fig. 4, encoded per DESIGN.md §2):
 
@@ -197,19 +202,20 @@ def sample_sizes(rng: np.random.Generator, n: int, max_size: int) -> np.ndarray:
     return np.clip(SIZE_SHIFT + rng.poisson(SIZE_LAMBDA, n), 2, min(SIZE_MAX, max_size))
 
 
-def gumbel_topk_rows(
-    rng: np.random.Generator, log_w: np.ndarray, sizes: np.ndarray
-) -> list[np.ndarray]:
-    """Weighted sampling without replacement, one draw per row.
-
-    Row i picks ``sizes[i]`` distinct indices from ``len(log_w)``
-    candidates with probability ∝ exp(log_w), via the Gumbel top-k trick
-    (argsort of log-weights + Gumbel noise), fully vectorized.
+def topk_rows(
+    rng: np.random.Generator, weights: np.ndarray | None, rows: int, n: int, k: int
+) -> np.ndarray:
+    """(rows × k) indices into ``n`` candidates: each row the first k of a
+    random order without replacement ∝ ``weights`` (uniform if ``None``:
+    the draws ``u`` rank as they are).  The Gumbel form differs only where
+    ``gumbel`` redraws an exact ``u = 0`` (probability 2⁻⁵³ per draw) and
+    where rounding flips two keys within an ulp of each other.
     """
-    n, p = len(sizes), len(log_w)
-    keys = log_w[None, :] + rng.gumbel(size=(n, p))
-    order = np.argsort(-keys, axis=1)
-    return [order[i, : sizes[i]] for i in range(n)]
+    keys = rng.random((rows, n))
+    if weights is not None:
+        np.log1p(np.negative(keys, out=keys), out=keys)
+        np.divide(keys, -weights, out=keys)
+    return np.argsort(keys, axis=1)[:, :k]
 
 
 def generate_batch(
@@ -225,5 +231,5 @@ def generate_batch(
     # deterministic across any partition placement.
     rng = np.random.default_rng([seed, zlib.crc32(spec.code.encode()), start])
     sizes = sample_sizes(rng, count, len(spec.pool))
-    picks = gumbel_topk_rows(rng, np.log(spec.weights), sizes)
-    return sizes, [spec.pool[idx] for idx in picks]
+    picks = spec.pool[topk_rows(rng, spec.weights, count, len(spec.pool), sizes.max())]
+    return sizes, [row[:size] for row, size in zip(picks, sizes)]

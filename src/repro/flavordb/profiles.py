@@ -28,9 +28,6 @@ _COMMUNITY_FRACTION = 0.8
 
 _MIN_PROFILE, _MAX_PROFILE = 5, 150
 
-#: Molecule columns, and ingredient rows, per BLAS product in the overlap matrix.
-_CHUNK = 256
-
 
 @lru_cache(maxsize=4)
 def basic_profiles(seed: int = 7) -> pd.DataFrame:
@@ -82,26 +79,23 @@ def profiles() -> pd.DataFrame:
 
 
 def shared_matrix_numpy(profiles: pd.DataFrame) -> np.ndarray:
-    """Dense |F_i ∩ F_j| matrix from long-format profiles: B·Bᵀ.
+    """Dense |F_i ∩ F_j| matrix from long-format profiles (Ahn et al., Sci. Rep. 2011).
 
-    B is the ingredient × molecule incidence matrix (Ahn et al., Sci. Rep.
-    2011), built ``_CHUNK`` molecules at a time; each chunk's product is
-    taken ``_CHUNK`` rows at a time in float32 BLAS and added into the int32
-    result.  float32 is exact: no overlap exceeds the molecule count, far
-    below 2^24.  Shape (N_INGREDIENTS + 1)², zero diagonal; the last
-    row/column is the all-zero ``PAD_ID`` padding slot.
+    Sorted by molecule, the distinct (molecule, ingredient) rows ``lag``
+    apart that hold the same molecule are one shared molecule of a pair;
+    the pairs of lag = 1, 2, … are counted into the int32 result in both
+    orders.  Repeated rows count once.  Shape (N_INGREDIENTS + 1)², zero
+    diagonal; the last row/column is the all-zero ``PAD_ID`` padding slot.
     """
-    ing = profiles["ingredient_id"].to_numpy()
-    mol = profiles["molecule_id"].to_numpy()
-    chunk_of = mol // _CHUNK
-    s = np.zeros((N_INGREDIENTS + 1, N_INGREDIENTS + 1), dtype=np.int32)
-    b = np.empty((N_INGREDIENTS + 1, _CHUNK), dtype=np.float32)
-    for c in np.unique(chunk_of):
-        sel = chunk_of == c
-        b[:] = 0.0
-        b[ing[sel], mol[sel] - c * _CHUNK] = 1.0
-        for lo in range(0, len(b), _CHUNK):
-            rows = slice(lo, lo + _CHUNK)
-            np.add(s[rows], b[rows] @ b.T, out=s[rows], casting="unsafe")
-    np.fill_diagonal(s, 0)
+    n = N_INGREDIENTS + 1
+    keys = np.unique(profiles["molecule_id"].to_numpy() * n + profiles["ingredient_id"].to_numpy())
+    mol, ing = np.divmod(keys, n)
+    s = np.zeros((n, n), dtype=np.int32)
+    lag = 1
+    while (same := mol[lag:] == mol[:-lag]).any():
+        pairs, count = np.unique(ing[:-lag][same] * n + ing[lag:][same], return_counts=True)
+        i, j = np.divmod(pairs, n)
+        s[i, j] += count
+        s[j, i] += count
+        lag += 1
     return s

@@ -1,7 +1,7 @@
 """Catalyst join forms of the overlap table and of N_s^R, per-recipe
-DataFrame forms of N_s^R, N_s^C and the random recipes, and the loop
+DataFrame forms of N_s^R, N_s^C and the random recipes, the loop
 forms of the randomized-cuisine generators and of the corpus coverage
-swaps.
+swaps, and the Gumbel form of the top-k sampler.
 
 Reference implementations only: the package builds the overlap matrix
 with :func:`repro.flavordb.profiles.shared_matrix_numpy` and scores
@@ -75,6 +75,21 @@ def recipe_scores_join(exploded: DataFrame, shared: DataFrame) -> DataFrame:
     return scored.groupBy("recipe_id", "region", "n").agg(
         (F.sum("shared") * 2.0 / (F.first("n") * (F.first("n") - 1))).alias("score")
     )
+
+
+def gumbel_topk_rows(
+    rng: np.random.Generator, log_w: np.ndarray, sizes: np.ndarray
+) -> list[np.ndarray]:
+    """Gumbel form of :func:`repro.culinarydb.generator.topk_rows`.
+
+    Row i picks ``sizes[i]`` distinct indices from ``len(log_w)``
+    candidates with probability ∝ exp(log_w), via the Gumbel top-k trick
+    (argsort of log-weights + Gumbel noise), fully vectorized.
+    """
+    n, p = len(sizes), len(log_w)
+    keys = log_w[None, :] + rng.gumbel(size=(n, p))
+    order = np.argsort(-keys, axis=1)
+    return [order[i, : sizes[i]] for i in range(n)]
 
 
 def model_batch_loop(

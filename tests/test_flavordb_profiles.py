@@ -102,3 +102,8 @@ def test_shared_matrix_numpy_matches_set_intersection(prof):
         for b in ids:
             if a != b:
                 assert s[a, b] == len(sets[a] & sets[b])
+
+
+def test_shared_matrix_numpy_counts_repeated_rows_once(prof):
+    repeated = pd.concat([prof, prof.iloc[::3], prof.iloc[::7]]).sample(frac=1.0, random_state=0)
+    assert np.array_equal(shared_matrix_numpy(repeated), shared_matrix_numpy(prof))

@@ -9,12 +9,13 @@ from repro.culinarydb.generator import (
     _head_size,
     _scaled_counts,
     generate_batch,
-    gumbel_topk_rows,
     region_specs,
     sample_sizes,
+    topk_rows,
 )
 from repro.flavordb.ingredients import ingredient_master
 from repro.regions import REGIONS, by_code
+from tests.reference import gumbel_topk_rows
 
 
 @pytest.fixture(scope="module")
@@ -99,22 +100,59 @@ def test_sample_sizes_bounds():
     assert abs(sizes.mean() - 9.0) < 0.1
 
 
-def test_gumbel_topk_rows_distinct_and_sized():
+def _topk_rows(rng, weights, sizes):
+    """:func:`topk_rows` as one array per row of ``sizes[i]`` indices."""
+    order = topk_rows(rng, weights, len(sizes), len(weights), sizes.max())
+    return [row[:size] for row, size in zip(order, sizes)]
+
+
+def test_topk_rows_distinct_and_sized():
     rng = np.random.default_rng(1)
-    log_w = np.log(np.arange(1, 51)[::-1].astype(float))
+    w = np.arange(1, 51)[::-1].astype(float)
     sizes = np.array([3, 10, 50])
-    rows = gumbel_topk_rows(rng, log_w, sizes)
+    rows = _topk_rows(rng, w, sizes)
     for idx, row in zip(sizes, rows):
         assert len(row) == idx
         assert len(np.unique(row)) == idx
 
 
-def test_gumbel_topk_respects_weights():
+def test_topk_rows_respects_weights():
     rng = np.random.default_rng(2)
-    log_w = np.log(np.array([100.0, 1.0, 1.0, 1.0]))
-    picks = gumbel_topk_rows(rng, log_w, np.ones(2000, dtype=int))
+    w = np.array([100.0, 1.0, 1.0, 1.0])
+    picks = _topk_rows(rng, w, np.ones(2000, dtype=int))
     first = np.array([p[0] for p in picks])
     assert (first == 0).mean() > 0.9
+
+
+@pytest.mark.parametrize("seed", [0, 11, 12345])
+def test_topk_rows_draws_the_gumbel_orders(seed):
+    """The same stream gives the Gumbel form's full orders, weighted and uniform."""
+    for spec in region_specs(1.0, 11):
+        p = len(spec.weights)
+        for weights, log_w in ((spec.weights, np.log(spec.weights)), (None, np.zeros(p))):
+            got = topk_rows(np.random.default_rng([seed, p]), weights, 40, p, p)
+            ref = gumbel_topk_rows(np.random.default_rng([seed, p]), log_w, np.full(40, p))
+            assert np.array_equal(got, np.array(ref)), (spec.code, weights is None)
+
+
+#: χ²₀.₉₉₉ with 19 degrees of freedom: the 20 ordered pairs of 5 candidates.
+_CHI2_19_ALPHA_0001 = 43.82
+
+
+@pytest.mark.parametrize("weights", [np.array([5.0, 3.0, 2.0, 1.0, 0.5]), None])
+def test_topk_rows_ordered_pairs_are_exact(weights):
+    """First-two draws match successive sampling w_i/W · w_j/(W − w_i), χ² at α = 0.001."""
+    w = np.ones(5) if weights is None else weights
+    rows = 200_000
+    order = topk_rows(np.random.default_rng(2006), weights, rows, 5, 2)
+    observed = np.bincount(order[:, 0] * 5 + order[:, 1], minlength=25).reshape(5, 5)
+    total = w.sum()
+    exact = w[:, None] / total * w[None, :] / (total - w[:, None])
+    off = ~np.eye(5, dtype=bool)
+    assert observed[~off].sum() == 0
+    expected = rows * exact[off]
+    chi2 = ((observed[off] - expected) ** 2 / expected).sum()
+    assert chi2 < _CHI2_19_ALPHA_0001, chi2
 
 
 def test_generate_batch_deterministic(specs):

@@ -69,7 +69,7 @@ def test_recipe_score_zero_overlap_recipe(spark, micro_profiles):
 
 
 def test_shared_matrix_matches_numpy_reference(pairs_df):
-    """The B·Bᵀ builder equals a dense fill of the join reference."""
+    """The shared-molecule count equals a dense fill of the join reference."""
     pdf = pairs_df.toPandas()
     ref = np.zeros((PAD_ID + 1, PAD_ID + 1), dtype=np.int32)
     ref[pdf["i"].to_numpy(), pdf["j"].to_numpy()] = pdf["shared"].to_numpy()
