@@ -1,9 +1,11 @@
-"""Benchmark fixtures: SF≈0.1 corpus (~4.6k recipes) shared per session."""
+"""Benchmark fixtures: SF≈0.1 corpus (~4.6k recipes) shared per session,
+as a Spark DataFrame (T1–T4) and as the driver's pandas frame (T5)."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.pairing import shared_matrix
-from repro.culinarydb.corpus import build_corpus
+from repro.culinarydb.corpus import build_corpus, generate_corpus
 
 BENCH_SCALE = 0.1
 SEED = 11
@@ -21,3 +23,7 @@ def bench_corpus(spark):
     yield df
     df.unpersist()
 
+
+@pytest.fixture(scope="session")
+def bench_recipes() -> pd.DataFrame:
+    return generate_corpus(BENCH_SCALE, SEED)

@@ -13,12 +13,13 @@ decomposition:
 
 where S_R is R's total pair overlap and T_{R,i} the overlap of pairs
 involving i, both from the gather kernel
-:func:`repro.core.pairing.padded_overlap`.  The recipes are collected
-once, with no Spark stage of their own, and scored on the driver in
-slices of at most :data:`repro.core.randomize.BATCH_SIZE` recipes per
-region.  Each slice is reduced to per-ingredient partial sums with
-``np.bincount``, and to its recipe count and Σ score for N_s^C; the
-partials are summed per (region, ingredient).
+:func:`repro.core.pairing.padded_overlap`.  The recipes come as a pandas
+frame (:func:`repro.culinarydb.corpus.generate_corpus`), so no Spark job
+runs; they are scored on the driver in slices of at most
+:data:`repro.core.randomize.BATCH_SIZE` recipes per region.  Each slice
+is reduced to per-ingredient partial sums with ``np.bincount``, and to
+its recipe count and Σ score for N_s^C; the partials are summed per
+(region, ingredient).
 """
 from __future__ import annotations
 
@@ -26,14 +27,13 @@ from functools import partial
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
 
 from repro.core import randomize
 from repro.core.pairing import PAD_ID, pad_members, padded_overlap
 from repro.flavordb.ingredients import ingredient_master
 
 
-def ingredient_contributions(recipes: DataFrame, matrix: np.ndarray) -> pd.DataFrame:
+def ingredient_contributions(recipes: pd.DataFrame, matrix: np.ndarray) -> pd.DataFrame:
     """χ_i for every (region, ingredient).
 
     ``recipes`` has one row per recipe with ``recipe_id``, ``region``,
@@ -45,9 +45,9 @@ def ingredient_contributions(recipes: DataFrame, matrix: np.ndarray) -> pd.DataF
     removing i empties the region or when N_s^C = 0.
 
     The recipes are sliced in ``recipe_id`` order, so the slices and the
-    floating-point sums do not depend on how ``recipes`` is partitioned.
+    floating-point sums do not depend on the order of ``recipes``' rows.
     """
-    pdf = recipes.select("recipe_id", "region", "n", "ingredients").toPandas().sort_values("recipe_id")
+    pdf = recipes.sort_values("recipe_id")
     parts, totals = [], []
     for region, g in pdf.groupby("region"):
         for lo in range(0, len(g), randomize.BATCH_SIZE):

@@ -17,7 +17,7 @@ construction*:
   for positive regions, mutually dissimilar for negative ones) — i.e.
   through the mechanism the paper itself identifies as the driver.
 """
-from repro.culinarydb.corpus import build_corpus, explode_corpus
+from repro.culinarydb.corpus import build_corpus, explode_corpus, generate_corpus
 from repro.culinarydb.generator import RegionSpec, region_specs
 
-__all__ = ["RegionSpec", "build_corpus", "explode_corpus", "region_specs"]
+__all__ = ["RegionSpec", "build_corpus", "explode_corpus", "generate_corpus", "region_specs"]

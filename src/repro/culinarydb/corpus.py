@@ -1,19 +1,27 @@
-"""Assemble the synthetic recipe corpus as a Spark DataFrame.
+"""Assemble the synthetic recipe corpus, on the driver or as a Spark DataFrame.
 
-Generation is sharded into batches and expanded with one ``mapInPandas``;
-each batch is deterministic in (region, batch start, seed) so output is
-identical regardless of partition placement or recomputation.
+Generation is sharded into batches; each batch is deterministic in
+(region, batch start, seed), so the corpus does not depend on where or
+how often a batch is generated.
 
-A *coverage plan* guarantees the Table 1 unique-ingredient counts. The
-driver generates each region's batches once, counts ingredient usage
-with NumPy, and deals the pool ingredients that sampling never used
-round-robin over the region's recipes. Each one replaces, in place, the
-recipe's most-used member among those used at least twice region-wide
-(whose other occurrences make the distortion negligible). The
-``mapInPandas`` pass overrides the planned recipes with their fixed
-members, so ``build_corpus`` starts no Spark job.
+A *coverage plan* guarantees the Table 1 unique-ingredient counts.
+``_generate_region`` generates a region's batches once on the driver,
+counts ingredient usage with NumPy, and deals the pool ingredients that
+sampling never used round-robin over the region's recipes. Each one
+replaces, in place, the recipe's most-used member among those used at
+least twice region-wide (whose other occurrences make the distortion
+negligible).
 
-Schema of the corpus DataFrame::
+``generate_corpus`` returns those recipes as a pandas frame with no
+Spark job; Fig. 5 reads it.  ``build_corpus`` keeps only the swapped
+recipes and defines the DataFrame lazily: one ``mapInPandas`` pass over
+the (region, start, count) batch plan generates the batches again on the
+executors and overrides the swapped recipes, so it starts no Spark job.
+The plan's partition layout fixes the row order that Fig. 4's model
+inputs read, so the executors regenerate rather than receive the
+driver's recipes.
+
+Schema of the corpus (both forms)::
 
     recipe_id   long      globally unique
     region      string    region code (Table 1) or 'OTHER'
@@ -69,42 +77,64 @@ def _batches(spec: RegionSpec) -> list[tuple[int, int]]:
     ]
 
 
-def _coverage_fixes(
-    specs: tuple[RegionSpec, ...], seed: int
-) -> dict[tuple[str, int], np.ndarray]:
-    """Plan the swaps that bring every unused pool ingredient into its region.
+def _generate_region(
+    spec: RegionSpec, seed: int
+) -> tuple[np.ndarray, list[np.ndarray], dict[int, np.ndarray]]:
+    """Generate a region's batches once and bring every unused pool ingredient in.
 
-    Returns ``{(region, local_idx): fixed ingredient ids}`` for the recipes
-    that change. Raises ``ValueError`` naming the region, the recipe and
-    the ingredient when no member of the recipe can make way for it,
-    rather than leave the ingredient out of the region's Table 1 count.
+    Returns the sizes, the recipes with the coverage swaps applied, and
+    ``{local_idx: fixed ingredient ids}`` for the recipes that changed.
+    Raises ``ValueError`` naming the region, the recipe and the
+    ingredient when no member of the recipe can make way for it, rather
+    than leave the ingredient out of the region's Table 1 count.
     """
-    fixes: dict[tuple[str, int], np.ndarray] = {}
-    for spec in specs:
-        recipes = [
-            r for start, count in _batches(spec) for r in generate_batch(spec, start, count, seed)[1]
-        ]
-        used, counts = np.unique(np.concatenate(recipes), return_counts=True)
-        inserts: dict[int, list[int]] = {}
-        for k, ing in enumerate(spec.pool[~np.isin(spec.pool, used)].tolist()):
-            inserts.setdefault(k % spec.n_recipes, []).append(ing)
-        for local, new in inserts.items():
-            members = recipes[local].astype(np.int64)
-            # A victim must be used at least twice region-wide, so removing
-            # one occurrence leaves another; an inserted member counts 0.
-            member_counts = counts[np.searchsorted(used, members)]
-            for ing in new:
-                eligible = np.flatnonzero(member_counts >= 2)
-                if not eligible.size:
-                    raise ValueError(
-                        f"region {spec.code}, recipe {spec.recipe_offset + local}: "
-                        f"no member can make way for ingredient {ing}"
-                    )
-                # The most-used member; ties go to the larger id.
-                victim = eligible[np.lexsort((members[eligible], member_counts[eligible]))[-1]]
-                members[victim], member_counts[victim] = ing, 0
-            fixes[(spec.code, local)] = members
-    return fixes
+    batches = [generate_batch(spec, start, count, seed) for start, count in _batches(spec)]
+    sizes = np.concatenate([b[0] for b in batches])
+    recipes = [r for b in batches for r in b[1]]
+    used, counts = np.unique(np.concatenate(recipes), return_counts=True)
+    inserts: dict[int, list[int]] = {}
+    for k, ing in enumerate(spec.pool[~np.isin(spec.pool, used)].tolist()):
+        inserts.setdefault(k % spec.n_recipes, []).append(ing)
+    fixes: dict[int, np.ndarray] = {}
+    for local, new in inserts.items():
+        members = recipes[local].astype(np.int64)
+        # A victim must be used at least twice region-wide, so removing
+        # one occurrence leaves another; an inserted member counts 0.
+        member_counts = counts[np.searchsorted(used, members)]
+        for ing in new:
+            eligible = np.flatnonzero(member_counts >= 2)
+            if not eligible.size:
+                raise ValueError(
+                    f"region {spec.code}, recipe {spec.recipe_offset + local}: "
+                    f"no member can make way for ingredient {ing}"
+                )
+            # The most-used member; ties go to the larger id.
+            victim = eligible[np.lexsort((members[eligible], member_counts[eligible]))[-1]]
+            members[victim], member_counts[victim] = ing, 0
+        recipes[local] = fixes[local] = members
+    return sizes, recipes, fixes
+
+
+def _frame(spec: RegionSpec, start: int, sizes: np.ndarray, recipes: list[np.ndarray]) -> pd.DataFrame:
+    """Corpus rows of a region's recipes from local index ``start`` on."""
+    return pd.DataFrame(
+        {
+            "recipe_id": spec.recipe_offset + start + np.arange(len(sizes)),
+            "region": spec.code,
+            "n": sizes.astype(np.int32),
+            "ingredients": [r.astype(np.int64) for r in recipes],
+        }
+    )
+
+
+def generate_corpus(scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
+    """The corpus of :func:`build_corpus` as a pandas frame, in ``recipe_id``
+    order, generated on the driver with no Spark job."""
+    frames = []
+    for spec in region_specs(scale, seed):
+        sizes, recipes, _ = _generate_region(spec, seed)
+        frames.append(_frame(spec, 0, sizes, recipes))
+    return pd.concat(frames, ignore_index=True)
 
 
 def build_corpus(spark: SparkSession, *, scale: float = 1.0, seed: int = 11) -> DataFrame:
@@ -114,7 +144,7 @@ def build_corpus(spark: SparkSession, *, scale: float = 1.0, seed: int = 11) -> 
     the Table 1 targets exactly.
     """
     specs = region_specs(scale, seed)
-    fixes = _coverage_fixes(specs, seed)
+    fixes = {s.code: _generate_region(s, seed)[2] for s in specs}
     plan_rows = [(s.code, start, count) for s in specs for start, count in _batches(s)]
     plan = spark.createDataFrame(plan_rows, _PLAN_SCHEMA).repartition(
         max(1, min(len(plan_rows), spark.sparkContext.defaultParallelism))
@@ -126,17 +156,8 @@ def build_corpus(spark: SparkSession, *, scale: float = 1.0, seed: int = 11) -> 
             for code, start, count in pdf.itertuples(index=False):
                 spec, start, count = by_code[code], int(start), int(count)
                 sizes, recipes = generate_batch(spec, start, count, seed)
-                yield pd.DataFrame(
-                    {
-                        "recipe_id": spec.recipe_offset + start + np.arange(count),
-                        "region": code,
-                        "n": sizes.astype(np.int32),
-                        "ingredients": [
-                            fixes.get((code, start + i), r).astype(np.int64)
-                            for i, r in enumerate(recipes)
-                        ],
-                    }
-                )
+                recipes = [fixes[code].get(start + i, r) for i, r in enumerate(recipes)]
+                yield _frame(spec, start, sizes, recipes)
 
     return plan.mapInPandas(gen, CORPUS_SCHEMA)
 

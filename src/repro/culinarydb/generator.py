@@ -10,11 +10,10 @@ an Exp(1)/w key per uniform ``u`` (Efraimidis & Spirakis, IPL 2006).
 NumPy's ``gumbel`` takes the same one draw per element and returns
 ``-log(-log(1 - u))``, so ``log w + gumbel`` ranks descending in the same
 order: these are the Gumbel top-k draws of the same stream.  A batch is
-a pure function of ``(scale, seed, region, start)``: the driver
-generates every batch once to plan the coverage swaps
-(``culinarydb.corpus._coverage_fixes``), and the ``mapInPandas`` pass of
-``build_corpus`` generates them again, so the corpus is deterministic
-regardless of partitioning.
+a pure function of ``(scale, seed, region, start)``, so the driver's
+corpus (``culinarydb.corpus.generate_corpus``, which also applies the
+coverage swaps) and the executors' (``build_corpus``) are the same
+whatever the partitioning.
 
 Pairing-sign mechanism (Fig. 4, encoded per DESIGN.md §2):
 

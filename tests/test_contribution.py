@@ -6,14 +6,18 @@ import pytest
 
 from repro.core import randomize
 from repro.core.contribution import ingredient_contributions, top_contributors
+from repro.culinarydb.corpus import generate_corpus
 from repro.flavordb.profiles import shared_matrix_numpy
+from tests.conftest import SEED
 from tests.reference import recipe_scores_fast
 from tests.test_pairing import _MICRO_PROFILES
 
 
 @pytest.fixture(scope="module")
-def contrib_input(corpus_small):
-    return corpus_small.where(F.col("region").isin(["KOR", "SAM"]))
+def contrib_input():
+    """KOR and SAM of the ``corpus_small`` corpus, generated on the driver."""
+    recipes = generate_corpus(0.02, SEED)
+    return recipes[recipes["region"].isin(["KOR", "SAM"])]
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +38,7 @@ def _brute_force_ns_without(corpus_pdf: pd.DataFrame, matrix: np.ndarray, ing: i
     return float(np.mean(scores))
 
 
-def test_chi_micro(spark):
+def test_chi_micro():
     """Hand-computed χ over the micro profiles: |F_0∩F_1| = 2, 0 elsewhere.
 
     X = {0,1,2}, {0,1}: scores 2/3 and 2, N_s^C = 4/3.  Removing 0 (or 1)
@@ -42,12 +46,12 @@ def test_chi_micro(spark):
     twice.  Y = {0,1}: removing either member empties it.  Z = {0,2},
     {1,2}: N_s^C = 0.
     """
-    recipes = spark.createDataFrame(pd.DataFrame({
+    recipes = pd.DataFrame({
         "recipe_id": [1, 2, 3, 4, 5],
         "region": ["X", "X", "Y", "Z", "Z"],
         "n": [3, 2, 2, 2, 2],
         "ingredients": [[0, 1, 2], [0, 1], [0, 1], [0, 2], [1, 2]],
-    }))
+    })
     got = ingredient_contributions(recipes, shared_matrix_numpy(_MICRO_PROFILES))
     got = got.set_index(["region", "ingredient_id"])
     for ing, n_containing, ns_without, chi in ((0, 2, 0.0, 100.0), (1, 2, 0.0, 100.0), (2, 1, 2.0, -50.0)):
@@ -109,25 +113,26 @@ def test_chi_sums_are_finite(contrib):
 
 def test_chi_independent_of_slices_and_partitions(contrib_input, contrib, overlap_matrix, monkeypatch):
     """Slices of 16 recipes cross a slice boundary in every region (each has
-    at least 30 recipes) and give the default slicing's χ; the input in 1
-    or in 7 partitions gives an identical frame."""
+    at least 30 recipes) and give the default slicing's χ; the same rows in
+    two different orders give an identical frame."""
     monkeypatch.setattr(randomize, "BATCH_SIZE", 16)
     sliced = ingredient_contributions(contrib_input, overlap_matrix)
     pd.testing.assert_frame_equal(sliced, contrib, check_exact=False, rtol=1e-12, atol=0)
+    first, second = (np.random.default_rng(s).permutation(len(contrib_input)) for s in (1, 2))
     pd.testing.assert_frame_equal(
-        ingredient_contributions(contrib_input.repartition(1), overlap_matrix),
-        ingredient_contributions(contrib_input.repartition(7), overlap_matrix),
+        ingredient_contributions(contrib_input.iloc[first], overlap_matrix),
+        ingredient_contributions(contrib_input.iloc[second], overlap_matrix),
         check_exact=True,
     )
 
 
-def test_ingredient_contributions_names_bad_recipe(spark, overlap_matrix):
-    recipes = spark.createDataFrame(pd.DataFrame({
+def test_ingredient_contributions_names_bad_recipe(overlap_matrix):
+    recipes = pd.DataFrame({
         "recipe_id": [11, 12, 13],
         "region": ["KOR", "KOR", "KOR"],
         "n": [2, 3, 2],
         "ingredients": [[0, 1], [1, 2, 1], [2, 3]],
-    }))
+    })
     with pytest.raises(ValueError, match="recipe 12: duplicate ingredient"):
         ingredient_contributions(recipes, overlap_matrix)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.culinarydb.corpus import _batches, _coverage_fixes, build_corpus
+from repro.culinarydb.corpus import _batches, _generate_region, build_corpus, generate_corpus
 from repro.culinarydb.generator import RegionSpec, generate_batch, region_specs
 from repro.flavordb.ingredients import N_INGREDIENTS
 from repro.oracle import assert_equivalent
@@ -125,7 +125,7 @@ def test_scale_without_coverage_smaller_unique_counts():
     specs = region_specs(0.02, 11, True)
     # without the coverage fixes at least one region misses pool members
     assert any(len(np.unique(np.concatenate(_raw(s, 11)[1]))) < len(s.pool) for s in specs)
-    assert _coverage_fixes(specs, 11)
+    assert any(_generate_region(s, 11)[2] for s in specs)
 
 
 def test_coverage_raises_without_a_victim():
@@ -134,22 +134,20 @@ def test_coverage_raises_without_a_victim():
     recipe instead of leaving them out."""
     spec = RegionSpec("KOR", 1, np.arange(30), np.ones(30), -1, recipe_offset=100)
     with pytest.raises(ValueError, match="region KOR, recipe 100: no member can make way for ingredient"):
-        _coverage_fixes((spec,), 11)
+        _generate_region(spec, 11)
 
 
 @settings(max_examples=8, derandomize=True, deadline=None)
 @given(scale=st.floats(0.01, 0.3), seed=st.integers(0, 2**16))
 def test_coverage_fixes_reach_every_pool_member(scale, seed):
-    specs = region_specs(scale, seed, True)
-    fixes = _coverage_fixes(specs, seed)
-    for spec in specs:
+    for spec in region_specs(scale, seed, True):
         sizes, raw = _raw(spec, seed)
-        fixed = [fixes.get((spec.code, local), r) for local, r in enumerate(raw)]
+        got_sizes, fixed, fixes = _generate_region(spec, seed)
+        assert np.array_equal(got_sizes, sizes)
+        assert {local: f.tolist() for local, f in fixes.items()} == coverage_fixes_loop(spec, raw)
+        assert all(np.array_equal(f, fixes.get(local, r)) for local, (f, r) in enumerate(zip(fixed, raw)))
         final = np.concatenate(fixed)
         assert np.array_equal(np.unique(final), np.sort(spec.pool))
-        assert {local: f.tolist() for (code, local), f in fixes.items() if code == spec.code} == (
-            coverage_fixes_loop(spec, raw)
-        )
         missing = set(spec.pool.tolist()) - set(np.concatenate(raw).tolist())
         inserted: dict[int, int] = {}
         for k in range(len(missing)):
@@ -163,21 +161,22 @@ def test_coverage_fixes_reach_every_pool_member(scale, seed):
 
 
 def test_spark_corpus_equals_driver_generation(corpus_small):
-    """The executors' corpus is the driver's raw generation with the planned
-    fixes applied, row for row and member for member."""
-    got = corpus_small.toPandas().sort_values("recipe_id").reset_index(drop=True)
-    specs = region_specs(0.02, 11, True)
-    fixes = _coverage_fixes(specs, 11)
+    """The executors' corpus and ``generate_corpus`` are both the raw
+    generation with the loop oracle's fixes applied, row for row and member
+    for member."""
     rows = []
-    for spec in specs:
+    for spec in region_specs(0.02, 11, True):
         sizes, raw = _raw(spec, 11)
+        fixes = coverage_fixes_loop(spec, raw)
         for local, (n, r) in enumerate(zip(sizes, raw)):
-            rows.append((spec.recipe_offset + local, spec.code, n, fixes.get((spec.code, local), r)))
-    assert got["recipe_id"].tolist() == [r[0] for r in rows]
-    assert got["region"].tolist() == [r[1] for r in rows]
-    assert got["n"].tolist() == [r[2] for r in rows]
-    for a, (*_, b) in zip(got["ingredients"], rows):
-        assert np.array_equal(a, b)
+            rows.append((spec.recipe_offset + local, spec.code, n, fixes.get(local, r)))
+    spark_corpus = corpus_small.toPandas().sort_values("recipe_id").reset_index(drop=True)
+    for got in (spark_corpus, generate_corpus(0.02, 11)):
+        assert got["recipe_id"].tolist() == [r[0] for r in rows]
+        assert got["region"].tolist() == [r[1] for r in rows]
+        assert got["n"].tolist() == [r[2] for r in rows]
+        for a, (*_, b) in zip(got["ingredients"], rows):
+            assert np.array_equal(a, b)
 
 
 def test_build_corpus_starts_no_spark_job(spark):

@@ -10,7 +10,6 @@ from tests.conftest import SEED
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "jobs"))
 
-import build_corpus  # noqa: E402
 import t2_category_heatmap  # noqa: E402
 import t3_size_popularity  # noqa: E402
 import t4_food_pairing  # noqa: E402
@@ -71,13 +70,22 @@ def test_t4_run_finite_z_for_every_region_and_model(spark):
     ids=["t2", "t3", "t4"],
 )
 def test_run_releases_the_corpus_it_caches(spark, run):
+    """No RDD the run persists stays persisted.  RDD ids only grow, so one
+    left behind shows as a new id; ids may also go during the run, since
+    Spark's ContextCleaner unpersists earlier tests' RDDs once the JVM
+    collects them (e.g. the local checkpoints of ``tests.reference``)."""
     persistent = spark.sparkContext._jsc.getPersistentRDDs
-    before = persistent().size()
+    before = set(persistent())
     run(spark, SCALE, SEED)
-    assert persistent().size() == before
+    assert set(persistent()) <= before
 
 
-def test_build_corpus_run_writes_corpus_and_profiles(spark, corpus_small, tmp_path):
-    build_corpus.run(spark, str(tmp_path), scale=SCALE, seed=SEED)
-    assert spark.read.parquet(str(tmp_path / "recipes")).count() == corpus_small.count()
-    assert spark.read.parquet(str(tmp_path / "profiles")).count() == 45_040
+def test_t5_run_starts_no_spark_job(spark):
+    sc = spark.sparkContext
+    sc.setJobGroup("t5_run", "T5 runs on the driver")
+    try:
+        top = t5_contributions.run(spark, SCALE, SEED)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    assert top["region"].nunique() == 22
+    assert sc.statusTracker().getJobIdsForGroup("t5_run") == []
