@@ -2,6 +2,6 @@
 from repro.core.stats import region_table
 
 
-def test_bench_t1_region_table(benchmark, bench_corpus):
-    result = benchmark(lambda: region_table(bench_corpus).collect())
+def test_bench_t1_region_table(benchmark, bench_recipes):
+    result = benchmark(region_table, bench_recipes)
     assert len(result) == 23  # 22 regions + OTHER

@@ -2,6 +2,6 @@
 from repro.core.stats import category_shares
 
 
-def test_bench_t2_category_shares(benchmark, spark, bench_corpus):
-    result = benchmark(lambda: category_shares(spark, bench_corpus).collect())
+def test_bench_t2_category_shares(benchmark, bench_recipes):
+    result = benchmark(category_shares, bench_recipes)
     assert len(result) > 22  # region × category rows

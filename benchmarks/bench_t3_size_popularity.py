@@ -2,11 +2,11 @@
 from repro.core.stats import rank_frequency, recipe_size_summary
 
 
-def test_bench_t3_size_summary(benchmark, bench_corpus):
-    result = benchmark(lambda: recipe_size_summary(bench_corpus).collect())
-    assert all(8.0 < r["mean_n"] < 10.0 for r in result)
+def test_bench_t3_size_summary(benchmark, bench_recipes):
+    result = benchmark(recipe_size_summary, bench_recipes)
+    assert all(8.0 < m < 10.0 for m in result["mean_n"])
 
 
-def test_bench_t3_rank_frequency(benchmark, bench_corpus):
-    result = benchmark(lambda: rank_frequency(bench_corpus).collect())
+def test_bench_t3_rank_frequency(benchmark, bench_recipes):
+    result = benchmark(rank_frequency, bench_recipes)
     assert len(result) > 500

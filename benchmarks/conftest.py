@@ -1,5 +1,5 @@
 """Benchmark fixtures: SF≈0.1 corpus (~4.6k recipes) shared per session,
-as a Spark DataFrame (T1–T4) and as the driver's pandas frame (T5)."""
+as a Spark DataFrame (T4) and as the driver's pandas frame (T1–T3, T5)."""
 import numpy as np
 import pandas as pd
 import pytest

@@ -1,8 +1,8 @@
-"""Shared session/bootstrap for spark-submit job entrypoints.
+"""Shared bootstrap for the job entry points.
 
-Jobs are thin wrappers over library functions that take a SparkSession
+Jobs are thin wrappers over library functions; T4 takes a SparkSession
 from :func:`repro.session.get_spark` (re-exported here for
-``perfbench/run.py``); this module adds the common CLI flags.
+``perfbench/run.py``).  This module adds the common CLI flags.
 """
 from __future__ import annotations
 

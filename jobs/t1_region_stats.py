@@ -1,7 +1,8 @@
 """T1 (paper Table 1): recipes and unique ingredients per region.
 
-Usage: spark-submit jobs/t1_region_stats.py [--scale 1.0] [--seed 11]
-Prints the measured corpus statistics next to the paper's values.
+Usage: python jobs/t1_region_stats.py [--scale 1.0] [--seed 11]
+Prints the measured corpus statistics next to the paper's values.  Runs
+on the driver, from the pandas corpus, and starts no Spark job.
 """
 from __future__ import annotations
 
@@ -9,27 +10,26 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.stats import region_table_vs_paper
-from repro.culinarydb.corpus import build_corpus
+from repro.culinarydb.corpus import generate_corpus
 
 
-def run(spark: SparkSession, scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
-    corpus = build_corpus(spark, scale=scale, seed=seed)
-    return region_table_vs_paper(corpus)
+def run(spark: SparkSession | None, scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
+    """Table 1 against the paper.  ``spark`` is unused; it keeps the
+    ``run(spark, scale, seed)`` shape of the other jobs."""
+    return region_table_vs_paper(generate_corpus(scale, seed))
 
 
 def main() -> None:
-    from common import base_parser, get_spark
+    from common import base_parser
 
     args = base_parser(__doc__).parse_args()
-    spark = get_spark("t1_region_stats")
-    out = run(spark, args.scale, args.seed)
+    out = run(None, args.scale, args.seed)
     print(out.to_string(index=False))
     print(
         f"\nrecipes match: {out['recipes_match'].sum()}/22, "
         f"ingredients match: {out['ingredients_match'].sum()}/22, "
         f"total recipes (regions): {int(out['recipes'].sum())}"
     )
-    spark.stop()
 
 
 if __name__ == "__main__":

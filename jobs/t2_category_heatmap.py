@@ -1,8 +1,9 @@
 """T2 (paper Fig. 2): ingredient-category usage share per region.
 
-Usage: spark-submit jobs/t2_category_heatmap.py [--scale 1.0]
+Usage: python jobs/t2_category_heatmap.py [--scale 1.0]
 Prints the region × category share matrix (the heatmap's data) and
-checks the paper's reported regional deviations.
+checks the paper's reported regional deviations.  Runs on the driver,
+from the pandas corpus, and starts no Spark job.
 """
 from __future__ import annotations
 
@@ -10,26 +11,24 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.stats import category_shares, world_category_shares
-from repro.culinarydb.corpus import build_corpus
+from repro.culinarydb.corpus import generate_corpus
 
 
-def run(spark: SparkSession, scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
-    corpus = build_corpus(spark, scale=scale, seed=seed).persist()
-    try:
-        per_region = category_shares(spark, corpus).toPandas()
-        world = world_category_shares(spark, corpus).toPandas()
-    finally:
-        corpus.unpersist()
+def run(spark: SparkSession | None, scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
+    """Per-region and WORLD category shares.  ``spark`` is unused; it
+    keeps the ``run(spark, scale, seed)`` shape of the other jobs."""
+    corpus = generate_corpus(scale, seed)
+    per_region = category_shares(corpus)
+    world = world_category_shares(corpus)
     world["region"] = "WORLD"
     return pd.concat([per_region, world[["region", "category", "count", "share"]]])
 
 
 def main() -> None:
-    from common import base_parser, get_spark
+    from common import base_parser
 
     args = base_parser(__doc__).parse_args()
-    spark = get_spark("t2_category_heatmap")
-    pdf = run(spark, args.scale, args.seed)
+    pdf = run(None, args.scale, args.seed)
     pivot = pdf.pivot_table(index="region", columns="category", values="share").round(3)
     print(pivot.to_string())
     print("\npaper claims:")
@@ -41,7 +40,6 @@ def main() -> None:
         g = pivot.loc[code]
         print(f"  {code}: spice is top category: {g.idxmax() == 'Spice'} "
               f"(spice={g['Spice']:.3f})")
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """T3 (paper Fig. 3): recipe-size distribution and ingredient popularity.
 
-Usage: spark-submit jobs/t3_size_popularity.py [--scale 1.0]
+Usage: python jobs/t3_size_popularity.py [--scale 1.0]
 Prints per-region size statistics (Fig. 3a) and the normalized
-rank–frequency curve sampled at fixed relative ranks (Fig. 3b).
+rank–frequency curve sampled at fixed relative ranks (Fig. 3b).  Runs on
+the driver, from the pandas corpus, and starts no Spark job.
 """
 from __future__ import annotations
 
@@ -11,18 +12,18 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.stats import rank_frequency, recipe_size_summary
-from repro.culinarydb.corpus import build_corpus
+from repro.culinarydb.corpus import generate_corpus
 
 
 def run(
-    spark: SparkSession, scale: float = 1.0, seed: int = 11
+    spark: SparkSession | None, scale: float = 1.0, seed: int = 11
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
-    corpus = build_corpus(spark, scale=scale, seed=seed).persist()
-    try:
-        sizes = recipe_size_summary(corpus).toPandas().sort_values("region")
-        ranks = rank_frequency(corpus).toPandas()
-    finally:
-        corpus.unpersist()
+    """Size summary and sampled rank–frequency curve.  ``spark`` is
+    unused; it keeps the ``run(spark, scale, seed)`` shape of the other
+    jobs."""
+    corpus = generate_corpus(scale, seed)
+    sizes = recipe_size_summary(corpus).sort_values("region")
+    ranks = rank_frequency(corpus)
     grid = [0.05, 0.1, 0.2, 0.3, 0.5, 0.8]
     rows = []
     for region, g in ranks.groupby("region"):
@@ -36,11 +37,10 @@ def run(
 
 
 def main() -> None:
-    from common import base_parser, get_spark
+    from common import base_parser
 
     args = base_parser(__doc__).parse_args()
-    spark = get_spark("t3_size_popularity")
-    sizes, curve = run(spark, args.scale, args.seed)
+    sizes, curve = run(None, args.scale, args.seed)
     print("recipe sizes (Fig. 3a):")
     print(sizes.round(2).to_string(index=False))
     print(f"\nglobal mean size: {np.average(sizes['mean_n'], weights=sizes['recipes']):.2f}"
@@ -51,7 +51,6 @@ def main() -> None:
     print("\ncross-region coefficient of variation per grid point "
           "(low = consistent scaling):")
     print(cv.round(3).to_string())
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@
   collect of the recipes and per-slice partial sums on the driver
   (Fig. 5);
 * :mod:`repro.core.stats` — corpus statistics for Table 1, Fig. 2 and
-  Fig. 3.
+  Fig. 3, aggregated in pandas over the driver corpus.
 """
 from repro.core.pairing import shared_matrix
 from repro.core.randomize import MODELS, region_model_inputs

@@ -13,13 +13,13 @@ least twice region-wide (whose other occurrences make the distortion
 negligible).
 
 ``generate_corpus`` returns those recipes as a pandas frame with no
-Spark job; Fig. 5 reads it.  ``build_corpus`` keeps only the swapped
-recipes and defines the DataFrame lazily: one ``mapInPandas`` pass over
-the (region, start, count) batch plan generates the batches again on the
-executors and overrides the swapped recipes, so it starts no Spark job.
-The plan's partition layout fixes the row order that Fig. 4's model
-inputs read, so the executors regenerate rather than receive the
-driver's recipes.
+Spark job; Table 1 and Figs. 2, 3 and 5 read it.  ``build_corpus``
+serves Fig. 4 only.  It keeps only the swapped recipes and defines the
+DataFrame lazily: one ``mapInPandas`` pass over the (region, start,
+count) batch plan generates the batches again on the executors and
+overrides the swapped recipes, so it starts no Spark job.  The plan's
+partition layout fixes the row order that Fig. 4's model inputs read,
+so the executors regenerate rather than receive the driver's recipes.
 
 Schema of the corpus (both forms)::
 

@@ -22,7 +22,6 @@ from repro.flavordb.ingredients import (
     N_BASIC,
     N_COMPOUND,
     ingredient_master,
-    ingredients_df,
 )
 from repro.flavordb.molecules import (
     N_COMMUNITIES,
@@ -39,7 +38,6 @@ __all__ = [
     "N_MOLECULES",
     "basic_profiles",
     "ingredient_master",
-    "ingredients_df",
     "molecule_community",
     "profiles",
     "shared_matrix_numpy",

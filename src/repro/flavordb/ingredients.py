@@ -25,7 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.flavordb.molecules import N_COMMUNITIES
 
@@ -240,14 +239,6 @@ def ingredient_master(seed: int = 7) -> pd.DataFrame:
         ["ingredient_id", "name", "category", "community", "is_compound",
          "has_profile", "synonyms", "constituents"]
     ]
-
-
-def ingredients_df(spark: SparkSession, seed: int = 7) -> DataFrame:
-    """Ingredient master as a Spark DataFrame (synonyms/constituents as arrays)."""
-    pdf = ingredient_master(seed).copy()
-    pdf["synonyms"] = pdf["synonyms"].map(list)
-    pdf["constituents"] = pdf["constituents"].map(list)
-    return spark.createDataFrame(pdf)
 
 
 def lexicon(seed: int = 7) -> dict[str, int]:

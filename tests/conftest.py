@@ -3,12 +3,15 @@
 Everything session-scoped and deterministic so the whole suite pays the
 Spark build cost once.  ``corpus_small`` (scale 0.02, ~1k recipes) backs
 unit/oracle tests; ``corpus_mid`` (scale 0.1) backs the statistical
-shape tests that need more data.
+shape tests that need more data.  ``recipes_small`` and ``recipes_full``
+are the same corpus at scale 0.02 and at the paper's size, generated on
+the driver as pandas frames with no Spark job.
 """
 import numpy as np
+import pandas as pd
 import pytest
 
-from repro.culinarydb.corpus import build_corpus, explode_corpus
+from repro.culinarydb.corpus import build_corpus, explode_corpus, generate_corpus
 from repro.flavordb.profiles import profiles
 from repro.core.pairing import shared_matrix
 from tests.reference import shared_pairs
@@ -57,3 +60,22 @@ def corpus_mid(spark):
     df.count()
     yield df
     df.unpersist()
+
+
+@pytest.fixture(scope="session")
+def recipes_small() -> pd.DataFrame:
+    return generate_corpus(0.02, SEED)
+
+
+@pytest.fixture(scope="session")
+def members_small(recipes_small) -> pd.DataFrame:
+    """``recipes_small`` in long format: one (recipe_id, region, n,
+    ingredient_id) row per member."""
+    out = recipes_small.explode("ingredients").rename(columns={"ingredients": "ingredient_id"})
+    return out.astype({"ingredient_id": np.int64})
+
+
+@pytest.fixture(scope="session")
+def recipes_full() -> pd.DataFrame:
+    """The paper-size corpus (45,772 recipes) the paper's claims are checked on."""
+    return generate_corpus(1.0, SEED)

@@ -6,18 +6,15 @@ import pytest
 
 from repro.core import randomize
 from repro.core.contribution import ingredient_contributions, top_contributors
-from repro.culinarydb.corpus import generate_corpus
 from repro.flavordb.profiles import shared_matrix_numpy
-from tests.conftest import SEED
 from tests.reference import recipe_scores_fast
 from tests.test_pairing import _MICRO_PROFILES
 
 
 @pytest.fixture(scope="module")
-def contrib_input():
-    """KOR and SAM of the ``corpus_small`` corpus, generated on the driver."""
-    recipes = generate_corpus(0.02, SEED)
-    return recipes[recipes["region"].isin(["KOR", "SAM"])]
+def contrib_input(recipes_small):
+    """KOR and SAM of ``recipes_small``, the ``corpus_small`` corpus generated on the driver."""
+    return recipes_small[recipes_small["region"].isin(["KOR", "SAM"])]
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ from repro.flavordb.ingredients import (
     N_INGREDIENTS,
     NO_PROFILE_NAMES,
     ingredient_master,
-    ingredients_df,
     lexicon,
 )
 from repro.flavordb.molecules import N_COMMUNITIES
@@ -131,9 +130,3 @@ def test_lexicon_covers_all_names(master):
     # synonym entries point at the canonical ingredient
     assert lex["bun"] == lex["bread"]
     assert lex["whisky"] == lex["whiskey"]
-
-
-def test_ingredients_df_schema(spark, master):
-    df = ingredients_df(spark)
-    assert df.count() == len(master)
-    assert {"ingredient_id", "name", "category", "community"} <= set(df.columns)

@@ -10,6 +10,7 @@ from tests.conftest import SEED
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "jobs"))
 
+import t1_region_stats  # noqa: E402
 import t2_category_heatmap  # noqa: E402
 import t3_size_popularity  # noqa: E402
 import t4_food_pairing  # noqa: E402
@@ -65,9 +66,8 @@ def test_t4_run_finite_z_for_every_region_and_model(spark):
 
 @pytest.mark.parametrize(
     "run",
-    [t2_category_heatmap.run, t3_size_popularity.run,
-     lambda spark, scale, seed: t4_food_pairing.run(spark, scale, seed, n_rand=200)],
-    ids=["t2", "t3", "t4"],
+    [lambda spark, scale, seed: t4_food_pairing.run(spark, scale, seed, n_rand=200)],
+    ids=["t4"],
 )
 def test_run_releases_the_corpus_it_caches(spark, run):
     """No RDD the run persists stays persisted.  RDD ids only grow, so one
@@ -80,12 +80,18 @@ def test_run_releases_the_corpus_it_caches(spark, run):
     assert set(persistent()) <= before
 
 
-def test_t5_run_starts_no_spark_job(spark):
+@pytest.mark.parametrize(
+    "job",
+    [t1_region_stats, t2_category_heatmap, t3_size_popularity, t5_contributions],
+    ids=["t1", "t2", "t3", "t5"],
+)
+def test_run_starts_no_spark_job(spark, job):
+    """T1–T3 and T5 run on the driver's pandas corpus."""
     sc = spark.sparkContext
-    sc.setJobGroup("t5_run", "T5 runs on the driver")
+    group = f"{job.__name__}_run"
+    sc.setJobGroup(group, "runs on the driver")
     try:
-        top = t5_contributions.run(spark, SCALE, SEED)
+        job.run(spark, SCALE, SEED)
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
-    assert top["region"].nunique() == 22
-    assert sc.statusTracker().getJobIdsForGroup("t5_run") == []
+    assert sc.statusTracker().getJobIdsForGroup(group) == []

@@ -1,6 +1,9 @@
-"""Corpus statistics: Table 1, Fig. 2, Fig. 3 — with oracle checks."""
+"""Corpus statistics: Table 1, Fig. 2, Fig. 3 — with oracle checks.
+
+Oracle tests run on ``recipes_small``; the paper's claims are checked on
+``recipes_full``, the corpus at the paper's size.
+"""
 import numpy as np
-import pyspark.sql.functions as F
 import pytest
 
 from repro.core.stats import (
@@ -12,34 +15,33 @@ from repro.core.stats import (
     region_table_vs_paper,
     world_category_shares,
 )
-from repro.culinarydb.corpus import explode_corpus
 from repro.culinarydb.generator import region_specs
+from repro.flavordb.ingredients import ingredient_master
 from repro.oracle import assert_equivalent
-from repro.regions import REGIONS
 
 
-def test_region_table_matches_specs(corpus_small):
-    got = {r["region"]: r for r in region_table(corpus_small).collect()}
+def test_region_table_matches_specs(recipes_small):
+    got = region_table(recipes_small).set_index("region")
     for s in region_specs(0.02, 11, True):
-        assert got[s.code]["recipes"] == s.n_recipes
-        assert got[s.code]["ingredients"] == len(s.pool)
+        assert got.loc[s.code, "recipes"] == s.n_recipes
+        assert got.loc[s.code, "ingredients"] == len(s.pool)
 
 
-def test_region_table_matches_oracle(corpus_small, exploded_small):
+def test_region_table_matches_oracle(recipes_small, members_small):
     assert_equivalent(
-        region_table(corpus_small),
+        region_table(recipes_small),
         """
         SELECT region,
                count(DISTINCT recipe_id) AS recipes,
                count(DISTINCT ingredient_id) AS ingredients
         FROM ex GROUP BY region
         """,
-        ex=exploded_small.toPandas(),
+        ex=members_small,
     )
 
 
-def test_region_table_vs_paper_columns(corpus_small):
-    pdf = region_table_vs_paper(corpus_small)
+def test_region_table_vs_paper_columns(recipes_small):
+    pdf = region_table_vs_paper(recipes_small)
     assert len(pdf) == 22
     assert {
         "region", "paper_recipes", "paper_ingredients",
@@ -47,106 +49,141 @@ def test_region_table_vs_paper_columns(corpus_small):
     } <= set(pdf.columns)
 
 
-def test_category_shares_sum_to_one(spark, corpus_small):
-    shares = category_shares(spark, corpus_small).groupBy("region").agg(
-        F.sum("share").alias("total")
-    )
-    for r in shares.collect():
-        assert r["total"] == pytest.approx(1.0)
+def test_table1_matches_paper_at_full_scale(recipes_full):
+    """Table 1: recipes and unique ingredients match the paper in 22/22 regions."""
+    pdf = region_table_vs_paper(recipes_full)
+    assert pdf["recipes_match"].sum() == 22, pdf[~pdf["recipes_match"]]
+    assert pdf["ingredients_match"].sum() == 22, pdf[~pdf["ingredients_match"]]
 
 
-def test_category_shares_match_oracle(spark, corpus_small, exploded_small):
-    from repro.flavordb.ingredients import ingredient_master
+def test_category_shares_sum_to_one(recipes_small):
+    totals = category_shares(recipes_small).groupby("region")["share"].sum()
+    assert np.allclose(totals, 1.0)
 
-    cats = ingredient_master()[["ingredient_id", "category"]]
+
+def test_category_shares_match_oracle(recipes_small, members_small):
     assert_equivalent(
-        category_shares(spark, corpus_small).select("region", "category", "count"),
+        category_shares(recipes_small),
         """
-        SELECT region, category, count(*) AS count
+        SELECT region, category, count(*) AS count,
+               count(*) / sum(count(*)) OVER (PARTITION BY region) AS share
         FROM ex JOIN cats USING (ingredient_id)
         GROUP BY region, category
         """,
-        ex=exploded_small.toPandas(),
-        cats=cats,
+        ex=members_small,
+        cats=ingredient_master()[["ingredient_id", "category"]],
     )
 
 
-def test_spice_regions_rank_spice_high(spark, corpus_mid):
+def test_world_category_shares_match_oracle(recipes_small, members_small):
+    assert_equivalent(
+        world_category_shares(recipes_small),
+        """
+        SELECT category, count(*) AS count,
+               count(*) / sum(count(*)) OVER () AS share
+        FROM ex JOIN cats USING (ingredient_id)
+        GROUP BY category
+        """,
+        ex=members_small,
+        cats=ingredient_master()[["ingredient_id", "category"]],
+    )
+
+
+def test_spice_regions_rank_spice_high(recipes_full):
     """Fig. 2: INSC / AFR / ME / CBN show predominant use of spice."""
-    pdf = category_shares(spark, corpus_mid).toPandas()
+    pdf = category_shares(recipes_full)
     for code in ("INSC", "AFR", "ME", "CBN"):
         g = pdf[pdf["region"] == code].set_index("category")["share"]
         assert g.idxmax() == "Spice", (code, g.nlargest(3))
 
 
-def test_dairy_first_regions_dairy_above_vegetable(spark, corpus_mid):
+def test_dairy_first_regions_dairy_above_vegetable(recipes_full):
     """Fig. 2: FRA / BRI / SCND use dairy above vegetables."""
-    pdf = category_shares(spark, corpus_mid).toPandas()
+    pdf = category_shares(recipes_full)
     for code in ("FRA", "BRI", "SCND"):
         g = pdf[pdf["region"] == code].set_index("category")["share"]
         assert g["Dairy"] > g["Vegetable"], (code, g.nlargest(5))
 
 
-def test_world_top_categories(spark, corpus_mid):
+def test_world_top_categories(recipes_full):
     """Fig. 2 WORLD: Vegetable/Spice/Dairy/Herb/Plant/Meat/Fruit lead."""
-    pdf = world_category_shares(spark, corpus_mid).toPandas()
+    pdf = world_category_shares(recipes_full)
     top7 = set(pdf.nlargest(7, "share")["category"])
     assert "Vegetable" in top7
     assert len(top7 & {"Vegetable", "Spice", "Dairy", "Herb", "Plant", "Meat", "Fruit"}) >= 5
 
 
-def test_size_histogram_global(corpus_small):
-    pdf = recipe_size_histogram(corpus_small).toPandas()
+def test_size_histogram_global(recipes_small):
+    pdf = recipe_size_histogram(recipes_small)
     assert pdf["p"].sum() == pytest.approx(1.0)
     assert pdf["n"].between(2, 25).all()
 
 
-def test_size_histogram_per_region(corpus_small):
-    pdf = recipe_size_histogram(corpus_small, per_region=True).toPandas()
+def test_size_histogram_per_region(recipes_small):
+    pdf = recipe_size_histogram(recipes_small, per_region=True)
     sums = pdf.groupby("region")["p"].sum()
     assert np.allclose(sums, 1.0)
 
 
-def test_size_summary_mean_about_nine(corpus_mid):
+def test_size_summary_mean_about_nine(recipes_full):
     """Fig. 3a: average of about nine ingredients per recipe, thin tail."""
-    pdf = recipe_size_summary(corpus_mid).toPandas()
+    pdf = recipe_size_summary(recipes_full)
     assert pdf["mean_n"].between(8.0, 10.0).all()
     assert (pdf["max_n"] <= 25).all()
 
 
-def test_rank_frequency_normalized(corpus_small):
-    pdf = rank_frequency(corpus_small).toPandas()
+def test_size_summary_matches_oracle(recipes_small):
+    assert_equivalent(
+        recipe_size_summary(recipes_small),
+        """
+        SELECT region, avg(n) AS mean_n, quantile_cont(n, 0.99) AS p99_n,
+               max(n) AS max_n, count(*) AS recipes
+        FROM corpus GROUP BY region
+        """,
+        corpus=recipes_small.drop(columns="ingredients"),
+    )
+
+
+def test_rank_frequency_normalized(recipes_small):
+    pdf = rank_frequency(recipes_small)
     top = pdf[pdf["rank"] == 1]
     assert (top["rel_freq"] == 1.0).all()
     assert pdf["rel_freq"].between(0, 1).all()
 
 
-def test_rank_frequency_monotone_in_rank(corpus_small):
-    pdf = rank_frequency(corpus_small).toPandas()
+def test_rank_frequency_monotone_in_rank(recipes_small):
+    pdf = rank_frequency(recipes_small)
     for region, g in pdf.groupby("region"):
         g = g.sort_values("rank")
         assert (np.diff(g["count"]) <= 0).all(), region
 
 
-def test_rank_frequency_matches_oracle(corpus_small, exploded_small):
-    got = rank_frequency(corpus_small).select("region", "ingredient_id", "count")
+def test_rank_frequency_matches_oracle(recipes_small, members_small):
     assert_equivalent(
-        got,
+        rank_frequency(recipes_small),
         """
-        SELECT region, ingredient_id, count(*) AS count
-        FROM ex GROUP BY region, ingredient_id
+        WITH counts AS (
+            SELECT region, ingredient_id, count(*) AS count
+            FROM ex GROUP BY region, ingredient_id
+        )
+        SELECT region, ingredient_id, count,
+               row_number() OVER w AS rank,
+               count / max(count) OVER (PARTITION BY region) AS rel_freq,
+               row_number() OVER w / count(*) OVER (PARTITION BY region) AS rel_rank
+        FROM counts
+        WINDOW w AS (PARTITION BY region ORDER BY count DESC, ingredient_id)
         """,
-        ex=exploded_small.toPandas(),
+        ex=members_small,
     )
 
 
-def test_rank_frequency_scaling_consistent_across_regions(corpus_mid):
+def test_rank_frequency_scaling_consistent_across_regions(recipes_full):
     """Fig. 3b: normalized popularity curves collapse across cuisines.
 
     Check that at matched relative ranks the normalized frequencies of
     all regions lie within a tight band (consistent scaling).
     """
-    pdf = rank_frequency(corpus_mid).toPandas()
+    pdf = rank_frequency(recipes_full)
     grid = [0.1, 0.3, 0.5]
     for q in grid:
         vals = []
