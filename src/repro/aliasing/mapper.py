@@ -1,4 +1,4 @@
-"""Spark pipeline: raw ingredient phrase → ingredient id.
+"""Raw ingredient phrase → ingredient id, in pandas on the driver.
 
 For each phrase: normalize (``textnorm``), generate n-grams longest-first
 (``ngrams``) and look them up in the normalized lexicon of ingredient
@@ -11,28 +11,11 @@ explicitly labeling partial and unrecognized entries for curation:
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql.types import (
-    LongType,
-    StringType,
-    StructField,
-    StructType,
-)
 
 from repro.aliasing.ngrams import ngrams
 from repro.aliasing.textnorm import normalize, normalize_name, pluralize
-from repro.flavordb.ingredients import lexicon
-
-ALIAS_SCHEMA = StructType(
-    [
-        StructField("phrase", StringType()),
-        StructField("mapped_id", LongType()),
-        StructField("status", StringType()),
-    ]
-)
+from repro.flavordb.ingredients import ingredient_master
 
 
 def build_lexicon(seed: int = 7) -> dict[str, int]:
@@ -41,19 +24,21 @@ def build_lexicon(seed: int = 7) -> dict[str, int]:
     Raises if two distinct ingredients normalize to the same key — a
     lexicon collision would silently mis-map phrases.
     """
+    master = ingredient_master(seed)
     out: dict[str, int] = {}
-    for raw_name, ing_id in lexicon(seed).items():
-        # Register both the singular-derived and the plural-derived key:
-        # rule-based singularization is not a perfect inverse of
-        # pluralization ("cheeses" → "chees" but "cheese" → "cheese"),
-        # so both surface forms must resolve to the ingredient.
-        for key in {normalize_name(raw_name), normalize_name(pluralize(raw_name))}:
-            if key in out and out[key] != ing_id:
-                raise ValueError(
-                    f"lexicon collision: {raw_name!r} → {key!r} maps to both "
-                    f"{out[key]} and {ing_id}"
-                )
-            out[key] = ing_id
+    for ing_id, name, synonyms in zip(master["ingredient_id"].tolist(), master["name"], master["synonyms"]):
+        for raw_name in (name, *synonyms):
+            # Register both the singular-derived and the plural-derived key:
+            # rule-based singularization is not a perfect inverse of
+            # pluralization ("cheeses" → "chees" but "cheese" → "cheese"),
+            # so both surface forms must resolve to the ingredient.
+            for key in {normalize_name(raw_name), normalize_name(pluralize(raw_name))}:
+                if key in out and out[key] != ing_id:
+                    raise ValueError(
+                        f"lexicon collision: {raw_name!r} → {key!r} maps to both "
+                        f"{out[key]} and {ing_id}"
+                    )
+                out[key] = ing_id
     return out
 
 
@@ -69,30 +54,12 @@ def alias_one(phrase: str, lex: dict[str, int]) -> tuple[int | None, str]:
     return None, "unmatched"
 
 
-def alias_phrases(phrases: DataFrame, seed: int = 7) -> DataFrame:
-    """Alias the ``phrase`` column of a DataFrame.
-
-    Returns the input columns (minus ``phrase`` duplicates) plus
-    ``mapped_id`` and ``status``.  The lexicon is built on the driver and
-    shipped in the task closure (a ~950-entry dict).
-    """
+def alias_phrases(phrases: pd.DataFrame, seed: int = 7) -> pd.DataFrame:
+    """``phrases`` plus ``mapped_id`` (``Int64``, null when unmatched) and
+    ``status``, one :func:`alias_one` per row of its ``phrase`` column."""
     lex = build_lexicon(seed)
-    in_schema = phrases.schema
-    out_schema = StructType(
-        list(in_schema.fields)
-        + [StructField("mapped_id", LongType()), StructField("status", StringType())]
+    hits = [alias_one(phrase, lex) for phrase in phrases["phrase"]]
+    return phrases.assign(
+        mapped_id=pd.array([ing_id for ing_id, _ in hits], dtype="Int64"),
+        status=[status for _, status in hits],
     )
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            mapped, status = [], []
-            for phrase in pdf["phrase"]:
-                ing_id, st = alias_one(phrase, lex)
-                mapped.append(ing_id)
-                status.append(st)
-            pdf = pdf.copy()
-            pdf["mapped_id"] = pd.array(mapped, dtype="Int64")
-            pdf["status"] = status
-            yield pdf
-
-    return phrases.mapInPandas(run, out_schema)

@@ -11,9 +11,8 @@
   and randomized cuisines from one fused pass, and the Z-score of each
   cuisine and model against the Random Cuisine (Fig. 4);
 * :mod:`repro.core.contribution` — ingredient contribution χ_i via exact
-  pair-level decomposition on the same kernel, N_s^C included, from one
-  collect of the recipes and per-slice partial sums on the driver
-  (Fig. 5);
+  pair-level decomposition on the same kernel, N_s^C included, over the
+  pandas corpus with per-slice partial sums on the driver (Fig. 5);
 * :mod:`repro.core.stats` — corpus statistics for Table 1, Fig. 2 and
   Fig. 3, aggregated in pandas over the driver corpus.
 """

@@ -10,17 +10,8 @@ true ingredient id; tests measure exact recovery.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql.types import (
-    LongType,
-    StringType,
-    StructField,
-    StructType,
-)
 
 from repro.aliasing.textnorm import pluralize
 from repro.flavordb.ingredients import ingredient_master
@@ -32,15 +23,6 @@ _UNITS = ("cup", "cups", "tablespoon", "tbsp", "teaspoon", "ounce", "oz", "pound
 # removal can never truncate a name.
 _PRE = ("fresh", "chopped", "finely chopped", "large", "small", "ripe", "")
 _POST = ("roasted and slit", "to taste", "or more", "thinly sliced", "peeled", "")
-
-PHRASE_SCHEMA = StructType(
-    [
-        StructField("recipe_id", LongType()),
-        StructField("region", StringType()),
-        StructField("ingredient_id", LongType()),
-        StructField("phrase", StringType()),
-    ]
-)
 
 
 def make_phrase(rng: np.random.Generator, name: str, synonyms: tuple[str, ...]) -> str:
@@ -62,35 +44,20 @@ def make_phrase(rng: np.random.Generator, name: str, synonyms: tuple[str, ...]) 
     return phrase
 
 
-def phrases_df(exploded: DataFrame, seed: int = 23) -> DataFrame:
-    """Raw phrases for every (recipe, ingredient) row of the exploded corpus.
+def phrases_df(members: pd.DataFrame, seed: int = 23) -> pd.DataFrame:
+    """``members`` (long format: ``recipe_id``, ``region``, ``ingredient_id``)
+    plus ``phrase``, a raw phrase for each row.
 
-    Deterministic in (recipe_id, ingredient_id, seed) so re-computation
-    under Spark scheduling yields identical phrases.
+    Each row draws from its own generator, seeded by (seed, recipe_id,
+    ingredient_id), so a phrase depends neither on the row's position nor
+    on the other rows.
     """
     master = ingredient_master()
     names = dict(zip(master["ingredient_id"], master["name"]))
     syns = dict(zip(master["ingredient_id"], master["synonyms"]))
-
-    def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            out = []
-            for rid, region, ing in zip(
-                pdf["recipe_id"], pdf["region"], pdf["ingredient_id"]
-            ):
-                rng = np.random.default_rng([seed, int(rid), int(ing)])
-                out.append(
-                    (
-                        int(rid),
-                        region,
-                        int(ing),
-                        make_phrase(rng, names[int(ing)], tuple(syns[int(ing)])),
-                    )
-                )
-            yield pd.DataFrame(
-                out, columns=["recipe_id", "region", "ingredient_id", "phrase"]
-            )
-
-    return exploded.select("recipe_id", "region", "ingredient_id").mapInPandas(
-        gen, PHRASE_SCHEMA
+    return members.assign(
+        phrase=[
+            make_phrase(np.random.default_rng([seed, int(rid), int(ing)]), names[ing], tuple(syns[ing]))
+            for rid, ing in zip(members["recipe_id"], members["ingredient_id"])
+        ]
     )

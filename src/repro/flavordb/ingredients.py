@@ -239,14 +239,3 @@ def ingredient_master(seed: int = 7) -> pd.DataFrame:
         ["ingredient_id", "name", "category", "community", "is_compound",
          "has_profile", "synonyms", "constituents"]
     ]
-
-
-def lexicon(seed: int = 7) -> dict[str, int]:
-    """Normalized name/synonym -> ingredient_id map for the aliasing pipeline."""
-    pdf = ingredient_master(seed)
-    out: dict[str, int] = {}
-    for _, row in pdf.iterrows():
-        out[row["name"]] = int(row["ingredient_id"])
-        for syn in row["synonyms"]:
-            out[syn] = int(row["ingredient_id"])
-    return out

@@ -6,8 +6,9 @@ def get_spark(app: str) -> SparkSession:
     """A session with 64 shuffle partitions, Arrow on, broadcast joins off.
 
     Master and driver memory are read at JVM launch (``spark-submit`` or
-    ``PYSPARK_SUBMIT_ARGS``); the settings here apply after it.  With
-    broadcast joins off, joins exercise the shuffle path.
+    ``PYSPARK_SUBMIT_ARGS``); the settings here apply after it.  The
+    package runs no join; broadcast joins are off for the join oracles in
+    ``tests/reference.py``, so they exercise the shuffle path.
 
     The Python workers start from :mod:`repro.spark_daemon`, so ``repro``
     must be importable on the worker path (``src`` on ``PYTHONPATH``, or

@@ -5,13 +5,17 @@ Spark build cost once.  ``corpus_small`` (scale 0.02, ~1k recipes) backs
 unit/oracle tests; ``corpus_mid`` (scale 0.1) backs the statistical
 shape tests that need more data.  ``recipes_small`` and ``recipes_full``
 are the same corpus at scale 0.02 and at the paper's size, generated on
-the driver as pandas frames with no Spark job.
+the driver as pandas frames with no Spark job; ``members_small`` and
+``aliased_small`` are ``recipes_small`` one row per member, before and
+after the phrase → id round trip.
 """
 import numpy as np
 import pandas as pd
 import pytest
 
+from repro.aliasing.mapper import alias_phrases
 from repro.culinarydb.corpus import build_corpus, explode_corpus, generate_corpus
+from repro.culinarydb.phrases import phrases_df
 from repro.flavordb.profiles import profiles
 from repro.core.pairing import shared_matrix
 from tests.reference import shared_pairs
@@ -73,6 +77,13 @@ def members_small(recipes_small) -> pd.DataFrame:
     ingredient_id) row per member."""
     out = recipes_small.explode("ingredients").rename(columns={"ingredients": "ingredient_id"})
     return out.astype({"ingredient_id": np.int64})
+
+
+@pytest.fixture(scope="session")
+def aliased_small(members_small) -> pd.DataFrame:
+    """``members_small`` with a synthesized ``phrase`` per member, aliased
+    back to ``mapped_id`` and ``status``."""
+    return alias_phrases(phrases_df(members_small, seed=23))
 
 
 @pytest.fixture(scope="session")

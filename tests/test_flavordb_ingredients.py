@@ -9,7 +9,6 @@ from repro.flavordb.ingredients import (
     N_INGREDIENTS,
     NO_PROFILE_NAMES,
     ingredient_master,
-    lexicon,
 )
 from repro.flavordb.molecules import N_COMMUNITIES
 
@@ -122,11 +121,3 @@ def test_deterministic_in_seed():
     b = ingredient_master.__wrapped__(seed=7)  # bypass cache: fresh build
     assert a["name"].tolist() == b["name"].tolist()
     assert a["community"].tolist() == b["community"].tolist()
-
-
-def test_lexicon_covers_all_names(master):
-    lex = lexicon()
-    assert set(master["name"]) <= set(lex)
-    # synonym entries point at the canonical ingredient
-    assert lex["bun"] == lex["bread"]
-    assert lex["whisky"] == lex["whiskey"]

@@ -6,60 +6,39 @@ rebuilt, and food-pairing scores computed from it equal those from the
 ground-truth corpus.
 """
 import numpy as np
-import pyspark.sql.functions as F
+import pandas as pd
 import pytest
 
-from repro.aliasing.mapper import alias_phrases
+from repro.core.pairing import pad_members, padded_overlap
 from repro.core.randomize import REAL, batch_plan, region_model_inputs
 from repro.core.zscore import model_moments
-from repro.culinarydb.phrases import phrases_df
 from tests.reference import cuisine_scores, recipe_scores_fast, recipe_scores_join
 
 
 @pytest.fixture(scope="module")
-def aliased(spark, exploded_small):
-    sub = exploded_small.where(F.col("region").isin(["GRC", "THA"]))
-    df = alias_phrases(phrases_df(sub, seed=23)).persist()
-    df.count()
-    yield df
-    df.unpersist()
+def rebuilt(aliased_small) -> pd.Series:
+    """Each recipe's aliased members, in the corpus's recipe order."""
+    members = aliased_small.astype({"mapped_id": np.int64})
+    return members.groupby("recipe_id", sort=False)["mapped_id"].agg(list)
 
 
-def test_full_recovery(aliased):
-    assert aliased.where(
-        (F.col("mapped_id") != F.col("ingredient_id"))
-        | F.col("mapped_id").isNull()
-    ).count() == 0
+def test_full_recovery(aliased_small, rebuilt, recipes_small):
+    assert (aliased_small["status"] == "exact").all()
+    assert rebuilt.index.tolist() == recipes_small["recipe_id"].tolist()
+    for got, want in zip(rebuilt, recipes_small["ingredients"]):
+        np.testing.assert_array_equal(got, want)
 
 
-def test_pairing_scores_identical_through_aliasing(
-    spark, aliased, exploded_small, pairs_df
-):
-    """Scores from the aliased pipeline == scores from ground truth."""
-    sub = exploded_small.where(F.col("region").isin(["GRC", "THA"]))
-    rebuilt = (
-        aliased.select("recipe_id", "region", F.col("mapped_id").alias("ingredient_id"))
-        .join(
-            sub.groupBy("recipe_id").agg(F.count("*").alias("n")),
-            on="recipe_id",
-        )
-    )
-    truth = (
-        recipe_scores_join(sub, pairs_df)
-        .select("recipe_id", "score")
-        .toPandas()
-        .sort_values("recipe_id")
-        .reset_index(drop=True)
-    )
-    via_alias = (
-        recipe_scores_join(rebuilt, pairs_df)
-        .select("recipe_id", "score")
-        .toPandas()
-        .sort_values("recipe_id")
-        .reset_index(drop=True)
-    )
-    assert len(truth) == len(via_alias)
-    assert np.abs(truth["score"] - via_alias["score"]).max() < 1e-12
+def test_pairing_scores_identical_through_aliasing(rebuilt, recipes_small, overlap_matrix):
+    """N_s^R from the aliased recipes == N_s^R from ground truth."""
+    n = recipes_small["n"].to_numpy()
+
+    def scores(ingredients: pd.Series) -> np.ndarray:
+        ids, lengths = pad_members(ingredients)
+        t = padded_overlap(ids, lengths, n, lambda row: f"recipe {row}", overlap_matrix)
+        return t.sum(axis=1) / (n * (n - 1.0))
+
+    np.testing.assert_array_equal(scores(rebuilt), scores(recipes_small["ingredients"]))
 
 
 def test_cuisine_scores_stable_across_paths(

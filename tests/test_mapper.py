@@ -1,10 +1,11 @@
-"""Aliasing: phrase → ingredient id (driver logic + Spark pipeline)."""
+"""Aliasing: phrase → ingredient id."""
 import numpy as np
-import pyspark.sql.functions as F
+import pandas as pd
 import pytest
 
 from repro.aliasing.mapper import alias_one, alias_phrases, build_lexicon
-from repro.culinarydb.phrases import make_phrase, phrases_df
+from repro.aliasing.textnorm import normalize_name
+from repro.culinarydb.phrases import make_phrase
 from repro.flavordb.ingredients import ingredient_master
 
 
@@ -64,18 +65,35 @@ def test_bulk_accuracy_on_synthetic_phrases(lex):
         assert got == row["ingredient_id"], (ph, row["name"])
 
 
-def test_spark_alias_phrases_recovers_corpus(spark, exploded_small):
-    sample = exploded_small.limit(400)
-    phrases = phrases_df(sample, seed=23)
+def test_lexicon_covers_all_names(lex):
+    master = ingredient_master()
+    for name, iid in zip(master["name"], master["ingredient_id"]):
+        assert lex[normalize_name(name)] == iid, name
+    # synonym entries point at the canonical ingredient
+    assert lex[normalize_name("bun")] == lex[normalize_name("bread")]
+    assert lex[normalize_name("whisky")] == lex[normalize_name("whiskey")]
+
+
+def test_alias_phrases_recovers_corpus(aliased_small, members_small):
+    assert aliased_small["region"].nunique() == 23
+    pd.testing.assert_frame_equal(aliased_small[members_small.columns], members_small)
+    # An Int64 comparison is <NA> on a null, and .all() skips <NA>.
+    assert aliased_small["mapped_id"].notna().all()
+    assert (aliased_small["mapped_id"] == aliased_small["ingredient_id"]).all()
+
+
+def test_alias_phrases_schema():
+    phrases = pd.DataFrame(
+        {
+            "recipe_id": [3, 1, 2],
+            "phrase": ["2 jalapeno peppers, roasted and slit", "totally unknown gizmo", "mystery gloop with basil"],
+        },
+        index=[10, 20, 30],
+    )
     aliased = alias_phrases(phrases)
-    total = aliased.count()
-    correct = aliased.where(F.col("mapped_id") == F.col("ingredient_id")).count()
-    assert total == 400
-    assert correct == total  # exact recovery on the synthetic corpus
-
-
-def test_spark_alias_phrases_schema(spark, exploded_small):
-    aliased = alias_phrases(phrases_df(exploded_small.limit(5)))
-    assert {"mapped_id", "status", "phrase", "ingredient_id"} <= set(aliased.columns)
-    statuses = {r["status"] for r in aliased.collect()}
-    assert statuses <= {"exact", "partial", "unmatched"}
+    assert list(aliased.columns) == ["recipe_id", "phrase", "mapped_id", "status"]
+    assert aliased.index.tolist() == [10, 20, 30]
+    assert aliased["mapped_id"].dtype == "Int64"
+    assert aliased["mapped_id"].isna().tolist() == [False, True, False]
+    assert aliased["status"].tolist() == ["exact", "unmatched", "partial"]
+    assert list(alias_phrases(phrases.iloc[:0]).columns) == list(aliased.columns)

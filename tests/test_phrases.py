@@ -1,6 +1,6 @@
 """Phrase synthesis for the aliasing pipeline."""
 import numpy as np
-import pytest
+import pandas as pd
 
 from repro.aliasing.textnorm import normalize_name
 from repro.culinarydb.phrases import make_phrase, phrases_df
@@ -31,25 +31,28 @@ def test_make_phrase_deterministic_given_rng_state():
     assert make_phrase(rng1, "basil", ()) == make_phrase(rng2, "basil", ())
 
 
-def test_phrases_df_row_per_usage(spark, exploded_small):
-    sample = exploded_small.limit(100)
+def test_phrases_df_row_per_usage(members_small):
+    sample = members_small.head(100)
     out = phrases_df(sample)
-    assert out.count() == 100
-    assert set(out.columns) == {"recipe_id", "region", "ingredient_id", "phrase"}
+    assert list(out.columns) == [*sample.columns, "phrase"]
+    pd.testing.assert_frame_equal(out[sample.columns], sample)
 
 
-def test_phrases_df_deterministic(spark, exploded_small):
-    sample = exploded_small.orderBy("recipe_id", "ingredient_id").limit(50)
-    a = phrases_df(sample, seed=23).orderBy("recipe_id", "ingredient_id").collect()
-    b = phrases_df(sample, seed=23).orderBy("recipe_id", "ingredient_id").collect()
-    assert [r["phrase"] for r in a] == [r["phrase"] for r in b]
+def test_phrases_df_deterministic(members_small):
+    """A phrase depends on (seed, recipe_id, ingredient_id) only, not on
+    the row's position or on the other rows."""
+    key = ["recipe_id", "ingredient_id"]
+    sample = members_small.head(500)
+    want = phrases_df(sample, seed=23).set_index(key)["phrase"]
+    shuffled = phrases_df(sample.sample(frac=1, random_state=0), seed=23).set_index(key)["phrase"]
+    pd.testing.assert_series_equal(shuffled.loc[want.index], want)
+    head = phrases_df(sample.head(7), seed=23).set_index(key)["phrase"]
+    pd.testing.assert_series_equal(head, want.head(7))
 
 
-def test_phrases_df_seed_changes_output(spark, exploded_small):
-    sample = exploded_small.orderBy("recipe_id", "ingredient_id").limit(50)
-    a = phrases_df(sample, seed=23).orderBy("recipe_id", "ingredient_id").collect()
-    b = phrases_df(sample, seed=24).orderBy("recipe_id", "ingredient_id").collect()
-    assert [r["phrase"] for r in a] != [r["phrase"] for r in b]
+def test_phrases_df_seed_changes_output(members_small):
+    sample = members_small.head(50)
+    assert phrases_df(sample, seed=23)["phrase"].tolist() != phrases_df(sample, seed=24)["phrase"].tolist()
 
 
 def test_phrase_normalizes_back_to_name_tokens():

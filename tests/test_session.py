@@ -1,11 +1,15 @@
-"""The session's Python workers import the installed pyspark, not Spark's zips."""
+"""The session's Python workers import the installed pyspark, not Spark's
+zips, and only the Spark layers import pyspark at all."""
+import ast
 import os
+import pathlib
 import runpy
 import sys
 import zipimport
 
 import pyspark
 
+import repro
 from repro import spark_daemon
 
 
@@ -50,3 +54,21 @@ def test_import_changes_nothing():
     runpy.run_path(spark_daemon.__file__)
     assert sys.path == path
     assert sys.path_importer_cache == cache
+
+
+def test_only_the_spark_layers_import_pyspark():
+    """Spark serves Fig. 4 (and the session and its worker daemon); every
+    other module runs in pandas and NumPy on the driver."""
+    root = pathlib.Path(repro.__file__).parent
+    importers = set()
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "pyspark" for name in names):
+                importers.add(".".join(path.relative_to(root).with_suffix("").parts))
+    assert importers == {"session", "spark_daemon", "culinarydb.corpus", "core.randomize", "core.zscore"}
