@@ -15,11 +15,13 @@ where S_R is R's total pair overlap and T_{R,i} the overlap of pairs
 involving i, both from the gather kernel
 :func:`repro.core.pairing.padded_overlap`.  The recipes come as a pandas
 frame (:func:`repro.culinarydb.corpus.generate_corpus`), so no Spark job
-runs; they are scored on the driver in slices of at most
-:data:`repro.core.randomize.BATCH_SIZE` recipes per region.  Each slice
-is reduced to per-ingredient partial sums with ``np.bincount``, and to
-its recipe count and Σ score for N_s^C; the partials are summed per
-(region, ingredient).
+runs.  One pass on the driver pads the whole corpus in ``recipe_id``
+order and scores it in slices of at most
+:data:`repro.core.randomize.BATCH_SIZE` recipes, which may span regions.
+Members are keyed ``region index · PAD_ID + ingredient_id``, so one
+``np.bincount`` per statistic over the keys gives the per-(region,
+ingredient) sums, and bincounts over the recipes' region index give each
+region's recipe count and Σ score for N_s^C.
 """
 from __future__ import annotations
 
@@ -44,45 +46,47 @@ def ingredient_contributions(recipes: pd.DataFrame, matrix: np.ndarray) -> pd.Da
     pulls the cuisine's pairing score *up*.  ``chi`` is NaN when
     removing i empties the region or when N_s^C = 0.
 
-    The recipes are sliced in ``recipe_id`` order, so the slices and the
-    floating-point sums do not depend on the order of ``recipes``' rows.
+    Every sum runs over the recipes in ``recipe_id`` order, so χ does
+    not depend on the order of ``recipes``' rows or on the slicing.
     """
     pdf = recipes.sort_values("recipe_id")
-    parts, totals = [], []
-    for region, g in pdf.groupby("region"):
-        for lo in range(0, len(g), randomize.BATCH_SIZE):
-            part = g.iloc[lo: lo + randomize.BATCH_SIZE]
-            recipe_ids, sizes = part["recipe_id"].to_numpy(), part["n"].to_numpy()
-            ids, lengths = pad_members(part["ingredients"])
-            t = padded_overlap(ids, lengths, sizes, lambda row: f"recipe {recipe_ids[row]}", matrix)
-            n = sizes.astype(np.float64)[:, None]
-            pair_sum = t.sum(axis=1, keepdims=True)  # 2 S_R
-            score = pair_sum / (n * (n - 1))
-            adj = np.where(n >= 3, (pair_sum - 2 * t) / np.maximum((n - 1) * (n - 2), 1), 0.0)
-            real = ids != PAD_ID
-            rows = np.nonzero(real)[0]
-            ingredient_id, member = np.unique(ids[real], return_inverse=True)
-            per_ingredient = partial(np.bincount, member, minlength=len(ingredient_id))
-            parts.append(pd.DataFrame({
-                "region": region,
-                "ingredient_id": ingredient_id,
-                "n_containing": per_ingredient(),
-                "sum_score": per_ingredient(score[rows, 0]),
-                "sum_adj": per_ingredient(adj[real]),
-                "n_dropped": per_ingredient(sizes[rows] == 2).astype(np.int64),
-            }))
-            totals.append((region, len(part), score.sum()))
-    per = pd.concat(parts).groupby(["region", "ingredient_id"], as_index=False).sum()
-    region_totals = pd.DataFrame(totals, columns=["region", "n_recipes", "total"]).groupby("region").sum()
-    per = per.join(region_totals, on="region")
-    ns_c = per["total"] / per["n_recipes"]
-    remaining = per["n_recipes"] - per["n_dropped"]
-    ns_without = ((per["total"] - per["sum_score"] + per["sum_adj"]) / remaining).where(remaining > 0)
-    return per[["region", "ingredient_id", "n_containing"]].assign(
-        ns_c=ns_c,
-        ns_without=ns_without,
-        chi=(100.0 * (ns_c - ns_without) / ns_c).where(ns_c != 0),
-    )
+    region, regions = pd.factorize(pdf["region"], sort=True)
+    recipe_ids, sizes = pdf["recipe_id"].to_numpy(), pdf["n"].to_numpy()
+    ids, lengths = pad_members(pdf["ingredients"])
+    t = np.empty_like(ids)
+    for lo in range(0, len(pdf), randomize.BATCH_SIZE):
+        part = slice(lo, lo + randomize.BATCH_SIZE)
+        t[part] = padded_overlap(
+            ids[part], lengths[part], sizes[part], lambda row: f"recipe {recipe_ids[lo + row]}", matrix
+        )
+    real = ids != PAD_ID
+    recipe = np.nonzero(real)[0]
+    pair_sum = t.sum(axis=1)  # 2 S_R
+    n = sizes.astype(np.float64)
+    score = pair_sum / (n * (n - 1))
+    m = n[recipe]
+    adj = np.where(m >= 3, (pair_sum[recipe] - 2 * t[real]) / np.maximum((m - 1) * (m - 2), 1), 0.0)
+    # Keys are dense (regions × PAD_ID), so a bincount per statistic needs no sort.
+    keys = region[recipe] * PAD_ID + ids[real]
+    per_key = partial(np.bincount, keys, minlength=len(regions) * PAD_ID)
+    n_containing = per_key()
+    key = np.flatnonzero(n_containing)
+    r = key // PAD_ID
+    n_recipes, total = np.bincount(region)[r], np.bincount(region, weights=score)[r]
+    ns_c = total / n_recipes
+    remaining = n_recipes - np.bincount(keys[m == 2], minlength=len(n_containing))[key]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ns_without = (total - per_key(score[recipe])[key] + per_key(adj)[key]) / remaining
+        ns_without[remaining == 0] = np.nan
+        chi = np.where(ns_c != 0, 100.0 * (ns_c - ns_without) / ns_c, np.nan)
+    return pd.DataFrame({
+        "region": regions.to_numpy()[r],
+        "ingredient_id": key % PAD_ID,
+        "n_containing": n_containing[key],
+        "ns_c": ns_c,
+        "ns_without": ns_without,
+        "chi": chi,
+    })
 
 
 def top_contributors(contributions: pd.DataFrame, k: int = 3) -> pd.DataFrame:

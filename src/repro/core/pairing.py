@@ -12,9 +12,10 @@ One overlap matrix and one gather kernel serve every score:
 (≈3.6 MB) from the pandas profiles, with no Spark stage, by counting the
 molecules each ingredient pair shares, and :func:`padded_overlap` checks
 a padded (recipes × max size) matrix of member ids and gathers each
-member's overlap T_{R,i}.  :func:`pad_members` pads ``ingredients``
-arrays into that matrix: χ in :mod:`repro.core.contribution` pads each
-driver-side slice of the real recipes with it, and the Fig. 4 stage of
+member's overlap T_{R,i}, one recipe size at a time, so it reads only
+real member pairs.  :func:`pad_members` pads ``ingredients`` arrays into
+that matrix: χ in :mod:`repro.core.contribution` pads the real recipes
+with it, and the Fig. 4 stage of
 :mod:`repro.core.zscore` hands the kernel the real recipes padded once by
 the same helper and the generators' own padded matrices, so N_s^R,
 N_s^C, σ and χ all come from this kernel.
@@ -58,12 +59,15 @@ def padded_overlap(
     labels: Callable[[int], str],
     matrix: np.ndarray,
 ) -> np.ndarray:
-    """T_{R,i} = Σ_{j ∈ R} |F_i ∩ F_j| for a padded member matrix (0 in the padding).
+    """T_{R,i} = Σ_{j ∈ R} |F_i ∩ F_j| for a padded member matrix, as int64
+    (0 in the padding).
 
     Row r of ``ids`` holds recipe r's ``lengths[r]`` members, then ``PAD_ID``;
     ``n`` is each recipe's stated size.  Raises ``ValueError`` naming the
     recipe (``labels(r)``) whose ``n`` is not its member count, or with an
-    id outside [0, N_INGREDIENTS), a repeated member or n < 2.
+    id outside [0, N_INGREDIENTS), a repeated member or n < 2.  The rows
+    are gathered by member count, each size L reading only its L × L
+    blocks, so no padding slot is read.
     """
     real = np.arange(ids.shape[1]) < lengths[:, None]
     out_of_range = (real & ((ids < 0) | (ids >= PAD_ID))).any(axis=1)
@@ -77,6 +81,11 @@ def padded_overlap(
     ):
         if bad.any():
             raise ValueError(f"{labels(int(bad.argmax()))}: {what}")
-    # The diagonal and the padding row/column are zero, so padding and a
-    # member's pair with itself add nothing.
-    return matrix[ids[:, :, None], ids[:, None, :]].sum(axis=2)
+    # One gather per recipe size reads only the L × L block of real
+    # members; the zero diagonal drops each member's pair with itself.
+    t = np.zeros(ids.shape, dtype=np.int64)
+    for size in np.unique(lengths):
+        rows = np.flatnonzero(lengths == size)
+        sub = ids[rows, :size]
+        t[rows, :size] = matrix[sub[:, :, None], sub[:, None, :]].sum(axis=2)
+    return t

@@ -130,11 +130,17 @@ def _frame(spec: RegionSpec, start: int, sizes: np.ndarray, recipes: list[np.nda
 def generate_corpus(scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
     """The corpus of :func:`build_corpus` as a pandas frame, in ``recipe_id``
     order, generated on the driver with no Spark job."""
-    frames = []
-    for spec in region_specs(scale, seed):
-        sizes, recipes, _ = _generate_region(spec, seed)
-        frames.append(_frame(spec, 0, sizes, recipes))
-    return pd.concat(frames, ignore_index=True)
+    specs = region_specs(scale, seed)
+    sizes, recipes, _ = zip(*(_generate_region(spec, seed) for spec in specs))
+    counts = [len(s) for s in sizes]
+    return pd.DataFrame(
+        {
+            "recipe_id": np.concatenate([s.recipe_offset + np.arange(c) for s, c in zip(specs, counts)]),
+            "region": np.repeat([s.code for s in specs], counts),
+            "n": np.concatenate(sizes).astype(np.int32),
+            "ingredients": [r for region in recipes for r in region],
+        }
+    )
 
 
 def build_corpus(spark: SparkSession, *, scale: float = 1.0, seed: int = 11) -> DataFrame:

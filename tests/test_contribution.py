@@ -109,18 +109,44 @@ def test_chi_sums_are_finite(contrib):
 
 
 def test_chi_independent_of_slices_and_partitions(contrib_input, contrib, overlap_matrix, monkeypatch):
-    """Slices of 16 recipes cross a slice boundary in every region (each has
-    at least 30 recipes) and give the default slicing's χ; the same rows in
-    two different orders give an identical frame."""
+    """Slices of 16 recipes cut every region (each has at least 30 recipes)
+    and one slice spans the KOR/SAM boundary; they give the default
+    slicing's χ bit for bit, since every sum runs over the recipes in
+    ``recipe_id`` order.  The same rows in two different orders give an
+    identical frame."""
     monkeypatch.setattr(randomize, "BATCH_SIZE", 16)
     sliced = ingredient_contributions(contrib_input, overlap_matrix)
-    pd.testing.assert_frame_equal(sliced, contrib, check_exact=False, rtol=1e-12, atol=0)
+    pd.testing.assert_frame_equal(sliced, contrib, check_exact=True)
     first, second = (np.random.default_rng(s).permutation(len(contrib_input)) for s in (1, 2))
     pd.testing.assert_frame_equal(
         ingredient_contributions(contrib_input.iloc[first], overlap_matrix),
         ingredient_contributions(contrib_input.iloc[second], overlap_matrix),
         check_exact=True,
     )
+
+
+def test_chi_with_interleaved_regions_matches_brute_force():
+    """Regions whose ``recipe_id``s interleave, so that a slice holds both
+    and neither is contiguous in ``recipe_id`` order, match brute-force
+    removal per region."""
+    recipes = pd.DataFrame({
+        "recipe_id": [7, 1, 4, 2, 6, 3, 5, 8],
+        "region": ["B", "A", "B", "B", "A", "A", "B", "A"],
+        "n": [3, 2, 2, 3, 3, 2, 2, 2],
+        "ingredients": [[0, 1, 3], [0, 1], [1, 3], [2, 1, 0], [1, 2, 3], [0, 3], [0, 2], [1, 3]],
+    })
+    matrix = shared_matrix_numpy(pd.DataFrame({
+        "ingredient_id": [0, 0, 0, 1, 1, 1, 2, 2, 3, 3],
+        "molecule_id": [0, 1, 2, 1, 2, 3, 2, 4, 0, 4],
+    }))
+    got = ingredient_contributions(recipes, matrix).set_index(["region", "ingredient_id"])
+    for region, g in recipes.groupby("region"):
+        members = sorted({i for row in g["ingredients"] for i in row})
+        assert got.loc[region].index.tolist() == members
+        for ing in members:
+            row = got.loc[(region, ing)]
+            assert row["n_containing"] == sum(ing in r for r in g["ingredients"])
+            assert row["ns_without"] == pytest.approx(_brute_force_ns_without(g, matrix, ing), rel=1e-12)
 
 
 def test_ingredient_contributions_names_bad_recipe(overlap_matrix):

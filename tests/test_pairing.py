@@ -207,3 +207,25 @@ def test_member_overlap_rejects_duplicate_member():
 def test_member_overlap_rejects_single_ingredient():
     with pytest.raises(ValueError, match="recipe 7: fewer than 2"):
         _kernel_overlap([2])
+
+
+# --- the gather kernel against a per-recipe brute force, every size bucket
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        np.random.default_rng(3).permutation(np.repeat(np.arange(2, 26), 3)),
+        np.full(40, 7),
+        np.array([25]),
+    ],
+    ids=["every size 2-25, shuffled", "one size", "one row"],
+)
+def test_padded_overlap_equals_brute_force(sizes, overlap_matrix):
+    rng = np.random.default_rng(len(sizes))
+    ingredients = pd.Series([rng.choice(PAD_ID, size, replace=False) for size in sizes])
+    ids, lengths = pad_members(ingredients)
+    t = padded_overlap(ids, lengths, sizes, str, overlap_matrix)
+    assert t.dtype == np.int64 and t.shape == ids.shape
+    for row, members in enumerate(ingredients):
+        size = len(members)
+        assert np.array_equal(t[row, :size], overlap_matrix[np.ix_(members, members)].sum(axis=1))
+        assert (t[row, size:] == 0).all()
