@@ -2,9 +2,9 @@
 from repro.core.contribution import ingredient_contributions, top_contributors
 
 
-def test_bench_t5_contributions(benchmark, bench_recipes, bench_matrix):
+def test_bench_t5_contributions(benchmark, bench_flat, bench_matrix):
     def work():
-        contrib = ingredient_contributions(bench_recipes, bench_matrix)
+        contrib = ingredient_contributions(bench_flat, bench_matrix)
         return top_contributors(contrib, k=3)
 
     top = benchmark.pedantic(work, rounds=2, iterations=1, warmup_rounds=0)

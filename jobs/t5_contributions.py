@@ -4,7 +4,7 @@ Usage: python jobs/t5_contributions.py [--scale 1.0]
 Computes χ_i (percentage change of N_s^C on removing ingredient i) for
 every (region, ingredient) and prints the top 3 per region: largest χ
 for positive-pairing cuisines, smallest for negative ones.  Runs on the
-driver, from the pandas corpus, and starts no Spark job.
+driver, from the flat corpus arrays, and starts no Spark job.
 """
 from __future__ import annotations
 
@@ -13,15 +13,15 @@ from pyspark.sql import SparkSession
 
 from repro.core.contribution import ingredient_contributions, top_contributors
 from repro.core.pairing import shared_matrix
-from repro.culinarydb.corpus import generate_corpus
+from repro.culinarydb.corpus import flat_corpus
 from repro.regions import REGIONS
 
 
 def run(spark: SparkSession | None, scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
     """Top-3 χ per region.  ``spark`` is unused; it keeps the ``run(spark,
     scale, seed)`` shape of the other jobs."""
-    corpus = generate_corpus(scale, seed)
-    contrib = ingredient_contributions(corpus[corpus["region"] != "OTHER"], shared_matrix())
+    corpus = flat_corpus(scale, seed)
+    contrib = ingredient_contributions(corpus.take(corpus.region != "OTHER"), shared_matrix())
     return top_contributors(contrib, k=3)
 
 

@@ -13,10 +13,12 @@ decomposition:
 
 where S_R is R's total pair overlap and T_{R,i} the overlap of pairs
 involving i, both from the gather kernel
-:func:`repro.core.pairing.padded_overlap`.  The recipes come as a pandas
-frame (:func:`repro.culinarydb.corpus.generate_corpus`), so no Spark job
-runs.  One pass on the driver pads the whole corpus in ``recipe_id``
-order and scores it in slices of at most
+:func:`repro.core.pairing.padded_overlap`.  The recipes come as flat
+arrays (:func:`repro.culinarydb.corpus.flat_corpus`: per-recipe
+``recipe_id``, ``region`` and ``n``, and every member concatenated), so
+no Spark job runs and no per-recipe object is built.  One pass on the
+driver pads the whole corpus in ``recipe_id`` order with one mask
+assignment and scores it in slices of at most
 :data:`repro.core.randomize.BATCH_SIZE` recipes, which may span regions.
 Members are keyed ``region index · PAD_ID + ingredient_id``, so one
 ``np.bincount`` per statistic over the keys gives the per-(region,
@@ -31,33 +33,37 @@ import numpy as np
 import pandas as pd
 
 from repro.core import randomize
-from repro.core.pairing import PAD_ID, pad_members, padded_overlap
+from repro.core.pairing import PAD_ID, pad_flat, padded_overlap
+from repro.culinarydb.corpus import FlatCorpus
 from repro.flavordb.ingredients import ingredient_master
 
 
-def ingredient_contributions(recipes: pd.DataFrame, matrix: np.ndarray) -> pd.DataFrame:
+def ingredient_contributions(corpus: FlatCorpus, matrix: np.ndarray) -> pd.DataFrame:
     """χ_i for every (region, ingredient).
 
-    ``recipes`` has one row per recipe with ``recipe_id``, ``region``,
-    ``n`` and ``ingredients``; ``matrix`` is the overlap matrix from
-    :func:`repro.core.pairing.shared_matrix`.  Returns (region,
+    ``corpus`` holds the recipes as flat arrays (``recipe_id``,
+    ``region``, ``n``, ``members``); ``matrix`` is the overlap matrix
+    from :func:`repro.core.pairing.shared_matrix`.  Returns (region,
     ingredient_id, n_containing, ns_c, ns_without, chi) where ``chi`` =
     100 · (N_s^C − N_s^{C∖i}) / N_s^C: positive χ means the ingredient
     pulls the cuisine's pairing score *up*.  ``chi`` is NaN when
     removing i empties the region or when N_s^C = 0.
 
     Every sum runs over the recipes in ``recipe_id`` order, so χ does
-    not depend on the order of ``recipes``' rows or on the slicing.
+    not depend on the order of the recipes or on the slicing.  Raises
+    ``ValueError`` when the members are not as many as the sizes sum to.
     """
-    pdf = recipes.sort_values("recipe_id")
-    region, regions = pd.factorize(pdf["region"], sort=True)
-    recipe_ids, sizes = pdf["recipe_id"].to_numpy(), pdf["n"].to_numpy()
-    ids, lengths = pad_members(pdf["ingredients"])
+    if len(corpus.members) != corpus.n.sum():
+        raise ValueError(f"{len(corpus.members)} members for recipe sizes summing to {corpus.n.sum()}")
+    corpus = corpus.take(np.argsort(corpus.recipe_id, kind="stable"))
+    region, regions = pd.factorize(corpus.region, sort=True)
+    sizes = corpus.n
+    ids = pad_flat(corpus.members, sizes)
     t = np.empty_like(ids)
-    for lo in range(0, len(pdf), randomize.BATCH_SIZE):
+    for lo in range(0, len(sizes), randomize.BATCH_SIZE):
         part = slice(lo, lo + randomize.BATCH_SIZE)
         t[part] = padded_overlap(
-            ids[part], lengths[part], sizes[part], lambda row: f"recipe {recipe_ids[lo + row]}", matrix
+            ids[part], sizes[part], sizes[part], lambda row: f"recipe {corpus.recipe_id[lo + row]}", matrix
         )
     real = ids != PAD_ID
     recipe = np.nonzero(real)[0]
@@ -80,7 +86,7 @@ def ingredient_contributions(recipes: pd.DataFrame, matrix: np.ndarray) -> pd.Da
         ns_without[remaining == 0] = np.nan
         chi = np.where(ns_c != 0, 100.0 * (ns_c - ns_without) / ns_c, np.nan)
     return pd.DataFrame({
-        "region": regions.to_numpy()[r],
+        "region": regions[r],
         "ingredient_id": key % PAD_ID,
         "n_containing": n_containing[key],
         "ns_c": ns_c,
@@ -94,27 +100,27 @@ def top_contributors(contributions: pd.DataFrame, k: int = 3) -> pd.DataFrame:
 
     For positive-pairing regions the largest χ (ingredients pulling the
     score up); for negative-pairing ones the smallest χ (pulling it
-    down), by the paper's Fig. 4 signs from :mod:`repro.regions`.  Equal
-    χ rank by ``ingredient_id``.  Ingredient names are joined in for
-    readability.
+    down), by the paper's Fig. 4 signs from :mod:`repro.regions`; a
+    region without a sign there ranks by largest χ.  Rows with NaN χ are
+    dropped, and equal χ rank by ``ingredient_id``.  Ingredient names are
+    joined in for readability.
     """
     from repro.regions import REGIONS
 
     signs = {r.code: r.pairing_sign for r in REGIONS}
     pdf = contributions.dropna(subset=["chi"])
-    pull = pdf["chi"] * -pdf["region"].map(signs).fillna(1)
-    top = (
-        pdf.assign(pull=pull)
-        .sort_values(["region", "pull", "ingredient_id"])
-        .groupby("region")
-        .head(k)
-        .reset_index(drop=True)
-    )
+    region, ingredient, chi = (pdf[c].to_numpy() for c in ("region", "ingredient_id", "chi"))
+    pull = chi * -pdf["region"].map(signs).fillna(1).to_numpy()
+    order = np.lexsort((ingredient, pull, region))
+    # In region order, a row's rank is its distance from its region's first row.
+    ranked = region[order]
+    rank = np.arange(1, len(order) + 1) - np.searchsorted(ranked, ranked)
+    top = order[rank <= k]
     names = ingredient_master().set_index("ingredient_id")["name"]
     return pd.DataFrame({
-        "region": top["region"],
-        "rank": top.groupby("region").cumcount() + 1,
-        "ingredient_id": top["ingredient_id"].astype(np.int64),
-        "ingredient": top["ingredient_id"].map(names),
-        "chi": top["chi"],
+        "region": region[top],
+        "rank": rank[rank <= k].astype(np.int64),
+        "ingredient_id": ingredient[top].astype(np.int64),
+        "ingredient": names.reindex(ingredient[top]).to_numpy(),
+        "chi": chi[top],
     })

@@ -9,16 +9,17 @@ pairs; the cuisine score N_s^C is the mean of N_s^R over recipes.
 
 One overlap matrix and one gather kernel serve every score:
 :func:`shared_matrix` builds the dense (N+1)² int32 |F_i ∩ F_j| matrix
-(≈3.6 MB) from the pandas profiles, with no Spark stage, by counting the
-molecules each ingredient pair shares, and :func:`padded_overlap` checks
-a padded (recipes × max size) matrix of member ids and gathers each
-member's overlap T_{R,i}, one recipe size at a time, so it reads only
-real member pairs.  :func:`pad_members` pads ``ingredients`` arrays into
-that matrix: χ in :mod:`repro.core.contribution` pads the real recipes
-with it, and the Fig. 4 stage of
-:mod:`repro.core.zscore` hands the kernel the real recipes padded once by
-the same helper and the generators' own padded matrices, so N_s^R,
-N_s^C, σ and χ all come from this kernel.
+(≈3.6 MB) from the pooled profiles with no Spark stage: one
+``np.bincount`` counts the molecules each ingredient pair shares.
+:func:`padded_overlap` checks a padded (recipes × max size) matrix of
+member ids and gathers each member's overlap T_{R,i}, one recipe size at
+a time, so it reads only real member pairs.  χ in
+:mod:`repro.core.contribution` pads the generator's flat member array
+with :func:`pad_flat`; :func:`pad_members` serves only Fig. 4's model
+inputs (:mod:`repro.core.randomize`), padding a frame's ``ingredients``
+arrays.  The Fig. 4 stage of :mod:`repro.core.zscore` hands the kernel
+those padded real recipes and the generators' own padded matrices, so
+N_s^R, N_s^C, σ and χ all come from this kernel.
 """
 from __future__ import annotations
 
@@ -43,13 +44,19 @@ def shared_matrix() -> np.ndarray:
     return shared_matrix_numpy(profiles())
 
 
+def pad_flat(members: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(recipes × max length) member ids: row r holds the next ``lengths[r]``
+    of the flat ``members``, then ``PAD_ID``."""
+    ids = np.full((len(lengths), lengths.max()), PAD_ID, dtype=np.int64)
+    ids[np.arange(ids.shape[1]) < lengths[:, None]] = members
+    return ids
+
+
 def pad_members(ingredients: pd.Series) -> tuple[np.ndarray, np.ndarray]:
     """(recipes × max size) member ids, each row's members then ``PAD_ID``,
     and each recipe's member count."""
     lengths = ingredients.map(len).to_numpy()
-    ids = np.full((len(ingredients), lengths.max()), PAD_ID, dtype=np.int64)
-    ids[np.arange(ids.shape[1]) < lengths[:, None]] = np.concatenate(ingredients.to_list())
-    return ids, lengths
+    return pad_flat(np.concatenate(ingredients.to_list()), lengths), lengths
 
 
 def padded_overlap(

@@ -5,23 +5,28 @@ Generation is sharded into batches; each batch is deterministic in
 how often a batch is generated.
 
 A *coverage plan* guarantees the Table 1 unique-ingredient counts.
-``_generate_region`` generates a region's batches once on the driver,
-counts ingredient usage with NumPy, and deals the pool ingredients that
-sampling never used round-robin over the region's recipes. Each one
-replaces, in place, the recipe's most-used member among those used at
-least twice region-wide (whose other occurrences make the distortion
-negligible).
+``_generate_region`` generates a region's batches once on the driver as
+one flat member array in local recipe order, counts ingredient usage
+with NumPy, and deals the pool ingredients that sampling never used
+round-robin over the region's recipes. Each one replaces, in place
+through the recipe's slice of that array, the recipe's most-used member
+among those used at least twice region-wide (whose other occurrences
+make the distortion negligible).
 
-``generate_corpus`` returns those recipes as a pandas frame with no
-Spark job; Table 1 and Figs. 2, 3 and 5 read it.  ``build_corpus``
-serves Fig. 4 only.  It keeps only the swapped recipes and defines the
-DataFrame lazily: one ``mapInPandas`` pass over the (region, start,
-count) batch plan generates the batches again on the executors and
-overrides the swapped recipes, so it starts no Spark job.  The plan's
-partition layout fixes the row order that Fig. 4's model inputs read,
-so the executors regenerate rather than receive the driver's recipes.
+``flat_corpus`` concatenates the regions into one :class:`FlatCorpus`
+(per-recipe ``recipe_id``, ``region`` and ``n``, and every member in
+recipe order; recipe r's members start at ``offsets[r]``, the cumulative
+sum of ``n``) with no Spark job and no per-recipe object; Fig. 5 reads
+it.  ``generate_corpus`` splits it into the nested pandas frame that
+Table 1 and Figs. 2 and 3 read.  ``build_corpus`` serves Fig. 4 only.
+It keeps only the swapped recipes and defines the DataFrame lazily: one
+``mapInPandas`` pass over the (region, start, count) batch plan
+generates the batches again on the executors and overrides the swapped
+recipes, so it starts no Spark job.  The plan's partition layout fixes
+the row order that Fig. 4's model inputs read, so the executors
+regenerate rather than receive the driver's recipes.
 
-Schema of the corpus (both forms)::
+Schema of the corpus (both frame forms)::
 
     recipe_id   long      globally unique
     region      string    region code (Table 1) or 'OTHER'
@@ -30,7 +35,7 @@ Schema of the corpus (both forms)::
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -79,28 +84,31 @@ def _batches(spec: RegionSpec) -> list[tuple[int, int]]:
 
 def _generate_region(
     spec: RegionSpec, seed: int
-) -> tuple[np.ndarray, list[np.ndarray], dict[int, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
     """Generate a region's batches once and bring every unused pool ingredient in.
 
-    Returns the sizes, the recipes with the coverage swaps applied, and
-    ``{local_idx: fixed ingredient ids}`` for the recipes that changed.
-    Raises ``ValueError`` naming the region, the recipe and the
-    ingredient when no member of the recipe can make way for it, rather
-    than leave the ingredient out of the region's Table 1 count.
+    Returns the sizes, the members of every recipe concatenated in local
+    recipe order with the coverage swaps applied, and ``{local_idx: fixed
+    ingredient ids}`` for the recipes that changed.  Raises
+    ``ValueError`` naming the region, the recipe and the ingredient when
+    no member of the recipe can make way for it, rather than leave the
+    ingredient out of the region's Table 1 count.
     """
     batches = [generate_batch(spec, start, count, seed) for start, count in _batches(spec)]
     sizes = np.concatenate([b[0] for b in batches])
-    recipes = [r for b in batches for r in b[1]]
-    used, counts = np.unique(np.concatenate(recipes), return_counts=True)
+    members = np.concatenate([b[1] for b in batches])
+    offsets = np.cumsum(sizes) - sizes
+    used, counts = np.unique(members, return_counts=True)
     inserts: dict[int, list[int]] = {}
     for k, ing in enumerate(spec.pool[~np.isin(spec.pool, used)].tolist()):
         inserts.setdefault(k % spec.n_recipes, []).append(ing)
     fixes: dict[int, np.ndarray] = {}
     for local, new in inserts.items():
-        members = recipes[local].astype(np.int64)
+        # A view: the swaps land in ``members``.
+        recipe = members[offsets[local]:offsets[local] + sizes[local]]
         # A victim must be used at least twice region-wide, so removing
         # one occurrence leaves another; an inserted member counts 0.
-        member_counts = counts[np.searchsorted(used, members)]
+        member_counts = counts[np.searchsorted(used, recipe)]
         for ing in new:
             eligible = np.flatnonzero(member_counts >= 2)
             if not eligible.size:
@@ -109,10 +117,10 @@ def _generate_region(
                     f"no member can make way for ingredient {ing}"
                 )
             # The most-used member; ties go to the larger id.
-            victim = eligible[np.lexsort((members[eligible], member_counts[eligible]))[-1]]
-            members[victim], member_counts[victim] = ing, 0
-        recipes[local] = fixes[local] = members
-    return sizes, recipes, fixes
+            victim = eligible[np.lexsort((recipe[eligible], member_counts[eligible]))[-1]]
+            recipe[victim], member_counts[victim] = ing, 0
+        fixes[local] = recipe.copy()
+    return sizes, members, fixes
 
 
 def _frame(spec: RegionSpec, start: int, sizes: np.ndarray, recipes: list[np.ndarray]) -> pd.DataFrame:
@@ -127,18 +135,52 @@ def _frame(spec: RegionSpec, start: int, sizes: np.ndarray, recipes: list[np.nda
     )
 
 
-def generate_corpus(scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
-    """The corpus of :func:`build_corpus` as a pandas frame, in ``recipe_id``
-    order, generated on the driver with no Spark job."""
+class FlatCorpus(NamedTuple):
+    """The corpus as flat arrays: one entry per recipe, and every recipe's
+    members concatenated in recipe order."""
+
+    recipe_id: np.ndarray  # int64
+    region: np.ndarray  # region code per recipe
+    n: np.ndarray  # recipe size, int64
+    members: np.ndarray  # int64 ingredient ids; recipe r's are members[offsets[r]:offsets[r + 1]]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Start of each recipe's members, then their total: ``len + 1`` entries."""
+        return np.r_[0, np.cumsum(self.n)]
+
+    def take(self, rows: np.ndarray) -> FlatCorpus:
+        """The recipes selected by ``rows`` (a boolean mask or indices), in that order."""
+        n = self.n[rows]
+        start = self.offsets[:-1][rows]
+        members = self.members[np.repeat(start - np.cumsum(n) + n, n) + np.arange(n.sum())]
+        return FlatCorpus(self.recipe_id[rows], self.region[rows], n, members)
+
+
+def flat_corpus(scale: float = 1.0, seed: int = 11) -> FlatCorpus:
+    """The corpus of :func:`build_corpus` as a :class:`FlatCorpus`, in
+    ``recipe_id`` order, generated on the driver with no Spark job."""
     specs = region_specs(scale, seed)
-    sizes, recipes, _ = zip(*(_generate_region(spec, seed) for spec in specs))
+    sizes, members, _ = zip(*(_generate_region(spec, seed) for spec in specs))
     counts = [len(s) for s in sizes]
+    return FlatCorpus(
+        recipe_id=np.concatenate([s.recipe_offset + np.arange(c) for s, c in zip(specs, counts)]),
+        region=np.repeat([s.code for s in specs], counts),
+        n=np.concatenate(sizes),
+        members=np.concatenate(members),
+    )
+
+
+def generate_corpus(scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
+    """:func:`flat_corpus` as a pandas frame of the corpus schema, one row
+    per recipe; each ``ingredients`` array is a view into its members."""
+    corpus = flat_corpus(scale, seed)
     return pd.DataFrame(
         {
-            "recipe_id": np.concatenate([s.recipe_offset + np.arange(c) for s, c in zip(specs, counts)]),
-            "region": np.repeat([s.code for s in specs], counts),
-            "n": np.concatenate(sizes).astype(np.int32),
-            "ingredients": [r for region in recipes for r in region],
+            "recipe_id": corpus.recipe_id,
+            "region": corpus.region,
+            "n": corpus.n.astype(np.int32),
+            "ingredients": np.split(corpus.members, corpus.offsets[1:-1]),
         }
     )
 
@@ -161,7 +203,8 @@ def build_corpus(spark: SparkSession, *, scale: float = 1.0, seed: int = 11) -> 
         for pdf in batches:
             for code, start, count in pdf.itertuples(index=False):
                 spec, start, count = by_code[code], int(start), int(count)
-                sizes, recipes = generate_batch(spec, start, count, seed)
+                sizes, members = generate_batch(spec, start, count, seed)
+                recipes = np.split(members, np.cumsum(sizes)[:-1])
                 recipes = [fixes[code].get(start + i, r) for i, r in enumerate(recipes)]
                 yield _frame(spec, start, sizes, recipes)
 

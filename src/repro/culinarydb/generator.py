@@ -11,7 +11,7 @@ NumPy's ``gumbel`` takes the same one draw per element and returns
 ``-log(-log(1 - u))``, so ``log w + gumbel`` ranks descending in the same
 order: these are the Gumbel top-k draws of the same stream.  A batch is
 a pure function of ``(scale, seed, region, start)``, so the driver's
-corpus (``culinarydb.corpus.generate_corpus``, which also applies the
+corpus (``culinarydb.corpus.flat_corpus``, which also applies the
 coverage swaps) and the executors' (``build_corpus``) are the same
 whatever the partitioning.
 
@@ -219,16 +219,18 @@ def topk_rows(
 
 def generate_batch(
     spec: RegionSpec, start: int, count: int, seed: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Generate ``count`` recipes for a region, local indices [start, start+count).
 
-    Returns (sizes, list of ingredient-id arrays).  Deterministic in
-    (spec.code, start, seed) so Spark partitioning cannot change output.
+    Returns (sizes, members): each recipe's size, and the recipes'
+    ingredient ids concatenated in recipe order, ``sizes[r]`` of them for
+    recipe r.  Deterministic in (spec.code, start, seed) so Spark
+    partitioning cannot change output.
     """
     # zlib.crc32, not hash(): str hash is salted per Python process, and
     # Spark executors are separate processes — crc32 keeps generation
     # deterministic across any partition placement.
     rng = np.random.default_rng([seed, zlib.crc32(spec.code.encode()), start])
     sizes = sample_sizes(rng, count, len(spec.pool))
-    picks = spec.pool[topk_rows(rng, spec.weights, count, len(spec.pool), sizes.max())]
-    return sizes, [row[:size] for row, size in zip(picks, sizes)]
+    top = topk_rows(rng, spec.weights, count, len(spec.pool), sizes.max())
+    return sizes, spec.pool[top[np.arange(top.shape[1]) < sizes[:, None]]]

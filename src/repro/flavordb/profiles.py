@@ -8,8 +8,10 @@ heavy spread of empirically-reported molecule counts per ingredient.
 
 A compound ingredient's profile is the union of its constituents'
 profiles, the pooling rule of the paper's Materials §C; :func:`profiles`
-applies it in pandas (explode constituents → merge basic profiles →
-drop duplicates).
+applies it in NumPy: each constituent's basic rows are one
+``searchsorted`` slice, and each (ingredient, molecule) is kept at its
+first row.  :func:`shared_matrix_numpy` counts the molecules each
+ingredient pair shares with one ``np.bincount``.
 
 The four profile-less additives (Materials §B) produce no rows here.
 """
@@ -68,34 +70,67 @@ def basic_profiles(seed: int = 7) -> pd.DataFrame:
 def profiles() -> pd.DataFrame:
     """Long-format (ingredient_id, molecule_id) profiles of every profiled ingredient.
 
-    The :func:`basic_profiles`, plus each compound ingredient's pooled
-    profile: its constituents' molecules, each once.
+    The :func:`basic_profiles`, then each compound ingredient's pooled
+    profile in master order: its constituents' molecules, constituent by
+    constituent, each molecule once (its first occurrence).
     """
     master, basic = ingredient_master(), basic_profiles()
-    parts = master.loc[master["is_compound"], ["ingredient_id", "constituents"]]
-    parts = parts.explode("constituents").astype({"constituents": np.int64})
-    pooled = parts.merge(basic.rename(columns={"ingredient_id": "constituents"}), on="constituents")
-    return pd.concat([basic, pooled[["ingredient_id", "molecule_id"]]]).drop_duplicates(ignore_index=True)
+    compounds = master.loc[master["is_compound"]]
+    owner = np.repeat(compounds["ingredient_id"].to_numpy(), compounds["constituents"].map(len).to_numpy())
+    parts = np.concatenate(compounds["constituents"].to_list()).astype(np.int64)
+    ing, mol = basic["ingredient_id"].to_numpy(), basic["molecule_id"].to_numpy()
+    by_ing = np.argsort(ing, kind="stable")
+    # A constituent's rows are one slice of the basic rows sorted by ingredient.
+    lo, hi = (np.searchsorted(ing[by_ing], parts, side) for side in ("left", "right"))
+    count = hi - lo
+    rows = by_ing[np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    ing = np.concatenate([ing, np.repeat(owner, count)])
+    mol = np.concatenate([mol, mol[rows]])
+    # Each (ingredient, molecule) once, at its first row.
+    _, first = np.unique(ing * (mol.max() + 1) + mol, return_index=True)
+    keep = np.sort(first)
+    return pd.DataFrame({"ingredient_id": ing[keep], "molecule_id": mol[keep]})
+
+
+def _upper_pairs(ing: np.ndarray, starts: np.ndarray, sizes: np.ndarray, n: int) -> np.ndarray:
+    """Upper-triangle index ``i·n − i(i+1)/2 + j − i − 1`` of every
+    ingredient pair i < j sharing a molecule, once per shared molecule.
+
+    Molecule m's ingredients are ``ing[starts[m]:starts[m] + sizes[m]]``,
+    ascending.  The molecules of one frequency c are enumerated together,
+    through ``np.triu_indices(c, 1)``, into one preallocated array.
+    """
+    row = ing * n - ing * (ing + 1) // 2 - ing - 1  # index of (i, j) = row[i] + j
+    out = np.empty(int((sizes * (sizes - 1) // 2).sum()), dtype=np.int64)
+    pos = 0
+    for c in np.unique(sizes[sizes >= 2]):
+        members = starts[sizes == c][:, None] + np.arange(c)
+        i, j = np.triu_indices(c, 1)
+        block = out[pos:pos + len(members) * len(i)].reshape(len(members), len(i))
+        np.add(row[members][:, i], ing[members][:, j], out=block)
+        pos += block.size
+    return out
 
 
 def shared_matrix_numpy(profiles: pd.DataFrame) -> np.ndarray:
     """Dense |F_i ∩ F_j| matrix from long-format profiles (Ahn et al., Sci. Rep. 2011).
 
-    Sorted by molecule, the distinct (molecule, ingredient) rows ``lag``
-    apart that hold the same molecule are one shared molecule of a pair;
-    the pairs of lag = 1, 2, … are counted into the int32 result in both
-    orders.  Repeated rows count once.  Shape (N_INGREDIENTS + 1)², zero
-    diagonal; the last row/column is the all-zero ``PAD_ID`` padding slot.
+    The distinct (molecule, ingredient) rows, sorted, group each
+    molecule's ingredients; every pair of them shares that molecule.
+    One ``np.bincount`` over the pairs' upper-triangle indices counts the
+    shared molecules of every pair i < j, written to both triangles of
+    the int32 result.  Repeated rows count once.  Shape
+    (N_INGREDIENTS + 1)², zero diagonal; the last row/column is the
+    all-zero ``PAD_ID`` padding slot.
     """
     n = N_INGREDIENTS + 1
     keys = np.unique(profiles["molecule_id"].to_numpy() * n + profiles["ingredient_id"].to_numpy())
     mol, ing = np.divmod(keys, n)
+    starts = np.flatnonzero(np.r_[True, mol[1:] != mol[:-1]])
+    # The pair array (≈3.3 MiB) is freed before the matrix is allocated.
+    tri = np.bincount(_upper_pairs(ing, starts, np.diff(np.r_[starts, len(mol)]), n), minlength=n * (n - 1) // 2)
+    upper = np.arange(n)[:, None] < np.arange(n)
     s = np.zeros((n, n), dtype=np.int32)
-    lag = 1
-    while (same := mol[lag:] == mol[:-lag]).any():
-        pairs, count = np.unique(ing[:-lag][same] * n + ing[lag:][same], return_counts=True)
-        i, j = np.divmod(pairs, n)
-        s[i, j] += count
-        s[j, i] += count
-        lag += 1
+    s[upper] = tri
+    s.T[upper] = tri
     return s

@@ -1,7 +1,8 @@
 """Catalyst join forms of the overlap table and of N_s^R, per-recipe
 DataFrame forms of N_s^R, N_s^C and the random recipes, the loop
 forms of the randomized-cuisine generators and of the corpus coverage
-swaps, and the Gumbel form of the top-k sampler.
+swaps, the Gumbel form of the top-k sampler, and the pandas form of the
+compound-profile pooling.
 
 Reference implementations only: the package builds the overlap matrix
 with :func:`repro.flavordb.profiles.shared_matrix_numpy` and scores
@@ -24,6 +25,8 @@ from pyspark.sql.types import ArrayType, DoubleType, IntegerType, LongType, Stri
 from repro.core.pairing import pad_members, padded_overlap
 from repro.core.randomize import RegionInputs, batch_plan, model_batch
 from repro.culinarydb.generator import RegionSpec
+from repro.flavordb.ingredients import ingredient_master
+from repro.flavordb.profiles import basic_profiles
 
 RANDOM_SCHEMA = StructType(
     [
@@ -235,3 +238,14 @@ def coverage_fixes_loop(spec: RegionSpec, raw: list[np.ndarray]) -> dict[int, li
         members[members.index(victim)] = ing
         replaced.add(ing)
     return fixes
+
+
+def profiles_pandas() -> pd.DataFrame:
+    """Pandas form of :func:`repro.flavordb.profiles.profiles`: the basic
+    profiles, then each compound's constituents exploded and merged with
+    their basic rows, duplicates dropped."""
+    master, basic = ingredient_master(), basic_profiles()
+    parts = master.loc[master["is_compound"], ["ingredient_id", "constituents"]]
+    parts = parts.explode("constituents").astype({"constituents": np.int64})
+    pooled = parts.merge(basic.rename(columns={"ingredient_id": "constituents"}), on="constituents")
+    return pd.concat([basic, pooled[["ingredient_id", "molecule_id"]]]).drop_duplicates(ignore_index=True)

@@ -6,15 +6,28 @@ import pytest
 
 from repro.core import randomize
 from repro.core.contribution import ingredient_contributions, top_contributors
+from repro.culinarydb.corpus import FlatCorpus, flat_corpus
 from repro.flavordb.profiles import shared_matrix_numpy
 from tests.reference import recipe_scores_fast
 from tests.test_pairing import _MICRO_PROFILES
 
 
+def _flat(recipes: pd.DataFrame) -> FlatCorpus:
+    """A corpus frame (recipe_id, region, n, ingredients) as flat arrays, in its row order."""
+    assert (recipes["n"] == recipes["ingredients"].map(len)).all()
+    return FlatCorpus(
+        recipe_id=recipes["recipe_id"].to_numpy(np.int64),
+        region=recipes["region"].to_numpy(),
+        n=recipes["n"].to_numpy(np.int64),
+        members=np.concatenate(recipes["ingredients"].to_list()).astype(np.int64),
+    )
+
+
 @pytest.fixture(scope="module")
-def contrib_input(recipes_small):
-    """KOR and SAM of ``recipes_small``, the ``corpus_small`` corpus generated on the driver."""
-    return recipes_small[recipes_small["region"].isin(["KOR", "SAM"])]
+def contrib_input():
+    """KOR and SAM of the ``corpus_small`` corpus, generated on the driver."""
+    corpus = flat_corpus(0.02, 11)
+    return corpus.take(np.isin(corpus.region, ["KOR", "SAM"]))
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +62,7 @@ def test_chi_micro():
         "n": [3, 2, 2, 2, 2],
         "ingredients": [[0, 1, 2], [0, 1], [0, 1], [0, 2], [1, 2]],
     })
-    got = ingredient_contributions(recipes, shared_matrix_numpy(_MICRO_PROFILES))
+    got = ingredient_contributions(_flat(recipes), shared_matrix_numpy(_MICRO_PROFILES))
     got = got.set_index(["region", "ingredient_id"])
     for ing, n_containing, ns_without, chi in ((0, 2, 0.0, 100.0), (1, 2, 0.0, 100.0), (2, 1, 2.0, -50.0)):
         row = got.loc[("X", ing)]
@@ -117,10 +130,10 @@ def test_chi_independent_of_slices_and_partitions(contrib_input, contrib, overla
     monkeypatch.setattr(randomize, "BATCH_SIZE", 16)
     sliced = ingredient_contributions(contrib_input, overlap_matrix)
     pd.testing.assert_frame_equal(sliced, contrib, check_exact=True)
-    first, second = (np.random.default_rng(s).permutation(len(contrib_input)) for s in (1, 2))
+    first, second = (np.random.default_rng(s).permutation(len(contrib_input.n)) for s in (1, 2))
     pd.testing.assert_frame_equal(
-        ingredient_contributions(contrib_input.iloc[first], overlap_matrix),
-        ingredient_contributions(contrib_input.iloc[second], overlap_matrix),
+        ingredient_contributions(contrib_input.take(first), overlap_matrix),
+        ingredient_contributions(contrib_input.take(second), overlap_matrix),
         check_exact=True,
     )
 
@@ -139,7 +152,7 @@ def test_chi_with_interleaved_regions_matches_brute_force():
         "ingredient_id": [0, 0, 0, 1, 1, 1, 2, 2, 3, 3],
         "molecule_id": [0, 1, 2, 1, 2, 3, 2, 4, 0, 4],
     }))
-    got = ingredient_contributions(recipes, matrix).set_index(["region", "ingredient_id"])
+    got = ingredient_contributions(_flat(recipes), matrix).set_index(["region", "ingredient_id"])
     for region, g in recipes.groupby("region"):
         members = sorted({i for row in g["ingredients"] for i in row})
         assert got.loc[region].index.tolist() == members
@@ -157,7 +170,13 @@ def test_ingredient_contributions_names_bad_recipe(overlap_matrix):
         "ingredients": [[0, 1], [1, 2, 1], [2, 3]],
     })
     with pytest.raises(ValueError, match="recipe 12: duplicate ingredient"):
-        ingredient_contributions(recipes, overlap_matrix)
+        ingredient_contributions(_flat(recipes), overlap_matrix)
+
+
+def test_ingredient_contributions_rejects_members_not_matching_sizes(overlap_matrix):
+    corpus = FlatCorpus(np.array([1, 2]), np.array(["KOR", "KOR"]), np.array([2, 3]), np.arange(6))
+    with pytest.raises(ValueError, match="6 members for recipe sizes summing to 5"):
+        ingredient_contributions(corpus, overlap_matrix)
 
 
 def test_top_contributors_shape(contrib):
@@ -187,3 +206,47 @@ def test_top_contributors_ties_rank_lower_id_first():
     assert top[["region", "rank", "ingredient_id"]].values.tolist() == [
         ["KOR", 1, 2], ["KOR", 2, 9], ["SAM", 1, 3], ["SAM", 2, 7],
     ]
+
+
+def test_top_contributors_unsigned_region_ranks_largest_chi():
+    """A region missing from ``REGIONS`` (here ``OTHER``) has no Fig. 4
+    sign and ranks by largest χ, like a positive one."""
+    contributions = pd.DataFrame({
+        "region": ["OTHER"] * 4,
+        "ingredient_id": [1, 2, 3, 4],
+        "chi": [-5.0, 7.0, 0.5, 3.0],
+    })
+    top = top_contributors(contributions, k=3)
+    assert top[["rank", "ingredient_id"]].values.tolist() == [[1, 2], [2, 4], [3, 3]]
+
+
+def test_top_contributors_drops_nan_chi():
+    contributions = pd.DataFrame({
+        "region": ["SAM", "SAM", "SAM", "KOR", "KOR"],
+        "ingredient_id": [1, 2, 3, 4, 5],
+        "chi": [np.nan, 1.0, 2.0, np.nan, np.nan],
+    })
+    top = top_contributors(contributions, k=3)
+    assert top[["region", "rank", "ingredient_id"]].values.tolist() == [["SAM", 1, 3], ["SAM", 2, 2]]
+
+
+def test_top_contributors_k_beyond_region_rows():
+    """A region with fewer rows than k keeps all of them, ranked 1..rows."""
+    contributions = pd.DataFrame({
+        "region": ["KOR", "SAM", "SAM", "SAM", "SAM", "SAM"],
+        "ingredient_id": [9, 1, 2, 3, 4, 5],
+        "chi": [4.0, 1.0, 5.0, 3.0, 2.0, 4.0],
+    })
+    top = top_contributors(contributions, k=4)
+    assert top[["region", "rank", "ingredient_id"]].values.tolist() == [
+        ["KOR", 1, 9], ["SAM", 1, 2], ["SAM", 2, 5], ["SAM", 3, 3], ["SAM", 4, 4],
+    ]
+
+
+def test_top_contributors_columns_and_dtypes(contrib):
+    top = top_contributors(contrib, k=3)
+    assert top.dtypes.astype(str).to_dict() == {
+        "region": "object", "rank": "int64", "ingredient_id": "int64", "ingredient": "object", "chi": "float64",
+    }
+    pd.testing.assert_index_equal(top.index, pd.RangeIndex(len(top)))
+    assert top["ingredient"].notna().all()

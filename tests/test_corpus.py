@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.culinarydb.corpus import _batches, _generate_region, build_corpus, generate_corpus
+from repro.culinarydb.corpus import _batches, _generate_region, build_corpus, flat_corpus, generate_corpus
 from repro.culinarydb.generator import RegionSpec, generate_batch, region_specs
 from repro.flavordb.ingredients import N_INGREDIENTS
 from repro.oracle import assert_equivalent
@@ -92,7 +92,8 @@ def test_deterministic_rebuild(spark, corpus_small):
 def _raw(spec: RegionSpec, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """A region's generated sizes and recipes before the coverage fixes."""
     batches = [generate_batch(spec, start, count, seed) for start, count in _batches(spec)]
-    return np.concatenate([b[0] for b in batches]), [r for b in batches for r in b[1]]
+    sizes = np.concatenate([b[0] for b in batches])
+    return sizes, np.split(np.concatenate([b[1] for b in batches]), np.cumsum(sizes)[:-1])
 
 
 def test_different_seed_differs():
@@ -142,8 +143,10 @@ def test_coverage_raises_without_a_victim():
 def test_coverage_fixes_reach_every_pool_member(scale, seed):
     for spec in region_specs(scale, seed, True):
         sizes, raw = _raw(spec, seed)
-        got_sizes, fixed, fixes = _generate_region(spec, seed)
+        got_sizes, members, fixes = _generate_region(spec, seed)
         assert np.array_equal(got_sizes, sizes)
+        assert members.dtype == np.int64 and len(members) == sizes.sum()
+        fixed = np.split(members, np.cumsum(sizes)[:-1])
         assert {local: f.tolist() for local, f in fixes.items()} == coverage_fixes_loop(spec, raw)
         assert all(np.array_equal(f, fixes.get(local, r)) for local, (f, r) in enumerate(zip(fixed, raw)))
         final = np.concatenate(fixed)
@@ -160,23 +163,56 @@ def test_coverage_fixes_reach_every_pool_member(scale, seed):
                 assert np.count_nonzero(final == gone) >= 1
 
 
+def _nested_reference(scale: float, seed: int) -> pd.DataFrame:
+    """The corpus frame built one recipe at a time: the raw generation with
+    the loop oracle's fixes, each recipe its own int64 array."""
+    frames = []
+    for spec in region_specs(scale, seed, True):
+        sizes, raw = _raw(spec, seed)
+        fixes = coverage_fixes_loop(spec, raw)
+        frames.append(pd.DataFrame({
+            "recipe_id": spec.recipe_offset + np.arange(len(sizes)),
+            "region": spec.code,
+            "n": sizes.astype(np.int32),
+            "ingredients": [np.array(fixes.get(local, r), dtype=np.int64) for local, r in enumerate(raw)],
+        }))
+    return pd.concat(frames, ignore_index=True)
+
+
 def test_spark_corpus_equals_driver_generation(corpus_small):
     """The executors' corpus and ``generate_corpus`` are both the raw
     generation with the loop oracle's fixes applied, row for row and member
     for member."""
-    rows = []
-    for spec in region_specs(0.02, 11, True):
-        sizes, raw = _raw(spec, 11)
-        fixes = coverage_fixes_loop(spec, raw)
-        for local, (n, r) in enumerate(zip(sizes, raw)):
-            rows.append((spec.recipe_offset + local, spec.code, n, fixes.get(local, r)))
+    want = _nested_reference(0.02, 11)
     spark_corpus = corpus_small.toPandas().sort_values("recipe_id").reset_index(drop=True)
     for got in (spark_corpus, generate_corpus(0.02, 11)):
-        assert got["recipe_id"].tolist() == [r[0] for r in rows]
-        assert got["region"].tolist() == [r[1] for r in rows]
-        assert got["n"].tolist() == [r[2] for r in rows]
-        for a, (*_, b) in zip(got["ingredients"], rows):
+        for col in ("recipe_id", "region", "n"):
+            assert got[col].tolist() == want[col].tolist()
+        for a, b in zip(got["ingredients"], want["ingredients"]):
             assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("scale", [0.02, 0.1])
+def test_generate_corpus_equals_nested_reference(scale):
+    got, want = generate_corpus(scale, 11), _nested_reference(scale, 11)
+    pd.testing.assert_frame_equal(got.drop(columns="ingredients"), want.drop(columns="ingredients"), check_exact=True)
+    assert got["ingredients"].dtype == object
+    for a, b in zip(got["ingredients"], want["ingredients"]):
+        assert a.dtype == np.int64 and np.array_equal(a, b)
+
+
+def test_flat_corpus_take_matches_frame_rows(recipes_small):
+    """``take`` by a mask or by indices selects the same recipes, members
+    and order as the frame's rows."""
+    corpus = flat_corpus(0.02, 11)
+    assert np.array_equal(corpus.offsets, np.r_[0, np.cumsum(recipes_small["n"])])
+    for rows in (corpus.region != "OTHER", np.random.default_rng(3).permutation(len(corpus.n))[:300]):
+        got, want = corpus.take(rows), recipes_small[rows] if rows.dtype == bool else recipes_small.iloc[rows]
+        assert np.array_equal(got.recipe_id, want["recipe_id"])
+        assert got.region.tolist() == want["region"].tolist()
+        assert np.array_equal(got.n, want["n"])
+        assert got.members.dtype == np.int64
+        assert np.array_equal(got.members, np.concatenate(want["ingredients"].to_list()))
 
 
 def test_build_corpus_starts_no_spark_job(spark):

@@ -1,4 +1,6 @@
 """Flavor profiles: size bounds, community structure, compound pooling."""
+import tracemalloc
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -7,6 +9,7 @@ from repro.flavordb.ingredients import N_INGREDIENTS, ingredient_master
 from repro.flavordb.molecules import N_MOLECULES, molecule_community
 from repro.flavordb.profiles import basic_profiles, profiles, shared_matrix_numpy
 from repro.oracle import assert_equivalent
+from tests.reference import profiles_pandas
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +80,12 @@ def test_profiles_df_pools_compounds(spark, master, basic, prof):
     )
 
 
+def test_profiles_equal_pandas_pooling(prof):
+    """Same rows, in the same order, as the explode → merge →
+    ``drop_duplicates`` form."""
+    pd.testing.assert_frame_equal(prof, profiles_pandas(), check_exact=True)
+
+
 def test_profiles_df_excludes_profile_less_additives(master, prof):
     assert set(prof["ingredient_id"]) == set(master.loc[master["has_profile"], "ingredient_id"])
 
@@ -107,3 +116,29 @@ def test_shared_matrix_numpy_matches_set_intersection(prof):
 def test_shared_matrix_numpy_counts_repeated_rows_once(prof):
     repeated = pd.concat([prof, prof.iloc[::3], prof.iloc[::7]]).sample(frac=1.0, random_state=0)
     assert np.array_equal(shared_matrix_numpy(repeated), shared_matrix_numpy(prof))
+
+
+def test_shared_matrix_numpy_equals_incidence_product(prof):
+    """The whole (N+1)² matrix against B·Bᵀ of the dense ingredient ×
+    molecule incidence matrix B, diagonal zeroed.  float32 holds every
+    count exactly (each is at most 150 < 2²⁴)."""
+    b = np.zeros((N_INGREDIENTS + 1, N_MOLECULES), dtype=np.float32)
+    b[prof["ingredient_id"].to_numpy(), prof["molecule_id"].to_numpy()] = 1.0
+    want = (b @ b.T).astype(np.int32)
+    np.fill_diagonal(want, 0)
+    got = shared_matrix_numpy(prof)
+    assert got.dtype == np.int32
+    assert np.array_equal(got, want)
+
+
+def test_shared_matrix_numpy_memory_peak(prof):
+    """The pair bincount stays bounded: the peak of profiles and matrix
+    together is at most 10 MiB (the matrix alone is 3.4 MiB)."""
+    profiles()  # fill the master and basic-profile caches first
+    tracemalloc.start()
+    try:
+        shared_matrix_numpy(profiles())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, peak / 2**20

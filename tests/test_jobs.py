@@ -6,6 +6,8 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from repro.core import pairing, randomize
+from repro.culinarydb import corpus as corpus_module
 from tests.conftest import SEED
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "jobs"))
@@ -53,6 +55,24 @@ def test_t5_run_top3_matches_pair_decomposition(spark, overlap_matrix, corpus_sm
     ref = _chi_by_pair_decomposition(corpus[corpus["region"] != "OTHER"], overlap_matrix)
     assert sorted(top["region"].unique()) == sorted({r for r, _ in ref})
     assert top.groupby("region")["rank"].apply(list).map(lambda r: r == [1, 2, 3]).all()
+    for row in top.itertuples():
+        assert row.chi == pytest.approx(ref[(row.region, row.ingredient_id)], rel=1e-9)
+
+
+def test_t5_run_pads_the_flat_corpus(monkeypatch, overlap_matrix, recipes_small):
+    """T5 takes χ from the generator's flat arrays: with ``pad_members`` and
+    the nested ``generate_corpus`` raising, it builds no per-recipe array
+    and still gives the pair decomposition's top-3."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("T5 built per-recipe ingredient arrays")
+
+    for module in (pairing, randomize):
+        monkeypatch.setattr(module, "pad_members", refuse)
+    monkeypatch.setattr(corpus_module, "generate_corpus", refuse)
+    top = t5_contributions.run(None, scale=SCALE, seed=SEED)
+    ref = _chi_by_pair_decomposition(recipes_small[recipes_small["region"] != "OTHER"], overlap_matrix)
+    assert top.groupby("region")["rank"].apply(list).map(lambda r: r == [1, 2, 3]).all()
+    assert top["region"].nunique() == 22
     for row in top.itertuples():
         assert row.chi == pytest.approx(ref[(row.region, row.ingredient_id)], rel=1e-9)
 
