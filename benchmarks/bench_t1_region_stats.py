@@ -2,6 +2,6 @@
 from repro.core.stats import region_table
 
 
-def test_bench_t1_region_table(benchmark, bench_recipes):
-    result = benchmark(region_table, bench_recipes)
+def test_bench_t1_region_table(benchmark, bench_flat):
+    result = benchmark(region_table, bench_flat)
     assert len(result) == 23  # 22 regions + OTHER

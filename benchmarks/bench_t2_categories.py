@@ -2,6 +2,6 @@
 from repro.core.stats import category_shares
 
 
-def test_bench_t2_category_shares(benchmark, bench_recipes):
-    result = benchmark(category_shares, bench_recipes)
+def test_bench_t2_category_shares(benchmark, bench_flat):
+    result = benchmark(category_shares, bench_flat)
     assert len(result) > 22  # region × category rows

@@ -1,12 +1,10 @@
 """Benchmark fixtures: SF≈0.1 corpus (~4.6k recipes) shared per session,
-as a Spark DataFrame (T4), as the driver's pandas frame (T1–T3) and as
-its flat arrays (T5)."""
+as a Spark DataFrame (T4) and as the driver's flat arrays (T1–T3, T5)."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.core.pairing import shared_matrix
-from repro.culinarydb.corpus import FlatCorpus, build_corpus, flat_corpus, generate_corpus
+from repro.culinarydb.corpus import FlatCorpus, build_corpus, flat_corpus
 
 BENCH_SCALE = 0.1
 SEED = 11
@@ -23,11 +21,6 @@ def bench_corpus(spark):
     df.count()
     yield df
     df.unpersist()
-
-
-@pytest.fixture(scope="session")
-def bench_recipes() -> pd.DataFrame:
-    return generate_corpus(BENCH_SCALE, SEED)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@
 
 Usage: python jobs/t1_region_stats.py [--scale 1.0] [--seed 11]
 Prints the measured corpus statistics next to the paper's values.  Runs
-on the driver, from the pandas corpus, and starts no Spark job.
+on the driver, from the flat corpus, and starts no Spark job.
 """
 from __future__ import annotations
 
@@ -10,13 +10,13 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.stats import region_table_vs_paper
-from repro.culinarydb.corpus import generate_corpus
+from repro.culinarydb.corpus import flat_corpus
 
 
 def run(spark: SparkSession | None, scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
     """Table 1 against the paper.  ``spark`` is unused; it keeps the
     ``run(spark, scale, seed)`` shape of the other jobs."""
-    return region_table_vs_paper(generate_corpus(scale, seed))
+    return region_table_vs_paper(flat_corpus(scale, seed))
 
 
 def main() -> None:

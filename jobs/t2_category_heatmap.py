@@ -3,7 +3,7 @@
 Usage: python jobs/t2_category_heatmap.py [--scale 1.0]
 Prints the region × category share matrix (the heatmap's data) and
 checks the paper's reported regional deviations.  Runs on the driver,
-from the pandas corpus, and starts no Spark job.
+from the flat corpus, and starts no Spark job.
 """
 from __future__ import annotations
 
@@ -11,13 +11,13 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.stats import category_shares, world_category_shares
-from repro.culinarydb.corpus import generate_corpus
+from repro.culinarydb.corpus import flat_corpus
 
 
 def run(spark: SparkSession | None, scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
     """Per-region and WORLD category shares.  ``spark`` is unused; it
     keeps the ``run(spark, scale, seed)`` shape of the other jobs."""
-    corpus = generate_corpus(scale, seed)
+    corpus = flat_corpus(scale, seed)
     per_region = category_shares(corpus)
     world = world_category_shares(corpus)
     world["region"] = "WORLD"

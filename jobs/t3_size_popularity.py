@@ -3,7 +3,7 @@
 Usage: python jobs/t3_size_popularity.py [--scale 1.0]
 Prints per-region size statistics (Fig. 3a) and the normalized
 rank–frequency curve sampled at fixed relative ranks (Fig. 3b).  Runs on
-the driver, from the pandas corpus, and starts no Spark job.
+the driver, from the flat corpus, and starts no Spark job.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.stats import rank_frequency, recipe_size_summary
-from repro.culinarydb.corpus import generate_corpus
+from repro.culinarydb.corpus import flat_corpus
 
 
 def run(
@@ -21,7 +21,7 @@ def run(
     """Size summary and sampled rank–frequency curve.  ``spark`` is
     unused; it keeps the ``run(spark, scale, seed)`` shape of the other
     jobs."""
-    corpus = generate_corpus(scale, seed)
+    corpus = flat_corpus(scale, seed)
     sizes = recipe_size_summary(corpus).sort_values("region")
     ranks = rank_frequency(corpus)
     grid = [0.05, 0.1, 0.2, 0.3, 0.5, 0.8]

@@ -12,9 +12,9 @@
   cuisine and model against the Random Cuisine (Fig. 4);
 * :mod:`repro.core.contribution` — ingredient contribution χ_i via exact
   pair-level decomposition on the same kernel, N_s^C included, over the
-  pandas corpus in one pass of bincounts on the driver (Fig. 5);
+  flat driver corpus in one pass of bincounts (Fig. 5);
 * :mod:`repro.core.stats` — corpus statistics for Table 1, Fig. 2 and
-  Fig. 3, aggregated in pandas over the driver corpus.
+  Fig. 3, aggregated in pandas over the flat driver corpus.
 """
 from repro.core.pairing import shared_matrix
 from repro.core.randomize import MODELS, region_model_inputs

@@ -23,6 +23,7 @@ N_s^R, N_s^C, σ and χ all come from this kernel.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -35,13 +36,17 @@ from repro.flavordb.profiles import profiles, shared_matrix_numpy
 PAD_ID = N_INGREDIENTS
 
 
+@lru_cache(maxsize=1)
 def shared_matrix() -> np.ndarray:
     """Dense symmetric overlap matrix of every ingredient's flavor profile.
 
     Shape (N_INGREDIENTS+1, N_INGREDIENTS+1); index ``PAD_ID`` is an
-    all-zero padding slot and the diagonal is zero.
+    all-zero padding slot and the diagonal is zero.  Built once per
+    process and read-only, since every caller shares the one array.
     """
-    return shared_matrix_numpy(profiles())
+    matrix = shared_matrix_numpy(profiles())
+    matrix.setflags(write=False)
+    return matrix
 
 
 def pad_flat(members: np.ndarray, lengths: np.ndarray) -> np.ndarray:

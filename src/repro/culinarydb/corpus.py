@@ -16,9 +16,9 @@ make the distortion negligible).
 ``flat_corpus`` concatenates the regions into one :class:`FlatCorpus`
 (per-recipe ``recipe_id``, ``region`` and ``n``, and every member in
 recipe order; recipe r's members start at ``offsets[r]``, the cumulative
-sum of ``n``) with no Spark job and no per-recipe object; Fig. 5 reads
-it.  ``generate_corpus`` splits it into the nested pandas frame that
-Table 1 and Figs. 2 and 3 read.  ``build_corpus`` serves Fig. 4 only.
+sum of ``n``) with no Spark job and no per-recipe object.  It is the
+driver's only form of the corpus: Table 1 and Figs. 2, 3 and 5 read it.
+``build_corpus`` serves Fig. 4 only.
 It keeps only the swapped recipes and defines the DataFrame lazily: one
 ``mapInPandas`` pass over the (region, start, count) batch plan
 generates the batches again on the executors and overrides the swapped
@@ -26,7 +26,7 @@ recipes, so it starts no Spark job.  The plan's partition layout fixes
 the row order that Fig. 4's model inputs read, so the executors
 regenerate rather than receive the driver's recipes.
 
-Schema of the corpus (both frame forms)::
+Schema of ``build_corpus``'s rows (``FlatCorpus`` flattens ``ingredients``)::
 
     recipe_id   long      globally unique
     region      string    region code (Table 1) or 'OTHER'
@@ -168,20 +168,6 @@ def flat_corpus(scale: float = 1.0, seed: int = 11) -> FlatCorpus:
         region=np.repeat([s.code for s in specs], counts),
         n=np.concatenate(sizes),
         members=np.concatenate(members),
-    )
-
-
-def generate_corpus(scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
-    """:func:`flat_corpus` as a pandas frame of the corpus schema, one row
-    per recipe; each ``ingredients`` array is a view into its members."""
-    corpus = flat_corpus(scale, seed)
-    return pd.DataFrame(
-        {
-            "recipe_id": corpus.recipe_id,
-            "region": corpus.region,
-            "n": corpus.n.astype(np.int32),
-            "ingredients": np.split(corpus.members, corpus.offsets[1:-1]),
-        }
     )
 
 

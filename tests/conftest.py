@@ -3,22 +3,23 @@
 Everything session-scoped and deterministic so the whole suite pays the
 Spark build cost once.  ``corpus_small`` (scale 0.02, ~1k recipes) backs
 unit/oracle tests; ``corpus_mid`` (scale 0.1) backs the statistical
-shape tests that need more data.  ``recipes_small`` and ``recipes_full``
-are the same corpus at scale 0.02 and at the paper's size, generated on
-the driver as pandas frames with no Spark job; ``members_small`` and
-``aliased_small`` are ``recipes_small`` one row per member, before and
-after the phrase → id round trip.
+shape tests that need more data.  ``flat_small`` and ``flat_full`` are
+the same corpus at scale 0.02 and at the paper's size as the driver's
+flat arrays, generated with no Spark job; ``recipes_small`` is
+``flat_small`` as a pandas frame, one array per recipe, and
+``members_small`` and ``aliased_small`` are it one row per member,
+before and after the phrase → id round trip.
 """
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.aliasing.mapper import alias_phrases
-from repro.culinarydb.corpus import build_corpus, explode_corpus, generate_corpus
+from repro.culinarydb.corpus import FlatCorpus, build_corpus, explode_corpus, flat_corpus
 from repro.culinarydb.phrases import phrases_df
 from repro.flavordb.profiles import profiles
 from repro.core.pairing import shared_matrix
-from tests.reference import shared_pairs
+from tests.reference import nested_corpus, shared_pairs
 
 SEED = 11
 
@@ -67,8 +68,19 @@ def corpus_mid(spark):
 
 
 @pytest.fixture(scope="session")
-def recipes_small() -> pd.DataFrame:
-    return generate_corpus(0.02, SEED)
+def flat_small() -> FlatCorpus:
+    return flat_corpus(0.02, SEED)
+
+
+@pytest.fixture(scope="session")
+def flat_full() -> FlatCorpus:
+    """The paper-size corpus (45,772 recipes) the paper's claims are checked on."""
+    return flat_corpus(1.0, SEED)
+
+
+@pytest.fixture(scope="session")
+def recipes_small(flat_small) -> pd.DataFrame:
+    return nested_corpus(flat_small)
 
 
 @pytest.fixture(scope="session")
@@ -84,9 +96,3 @@ def aliased_small(members_small) -> pd.DataFrame:
     """``members_small`` with a synthesized ``phrase`` per member, aliased
     back to ``mapped_id`` and ``status``."""
     return alias_phrases(phrases_df(members_small, seed=23))
-
-
-@pytest.fixture(scope="session")
-def recipes_full() -> pd.DataFrame:
-    """The paper-size corpus (45,772 recipes) the paper's claims are checked on."""
-    return generate_corpus(1.0, SEED)

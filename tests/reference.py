@@ -1,8 +1,9 @@
 """Catalyst join forms of the overlap table and of N_s^R, per-recipe
 DataFrame forms of N_s^R, N_s^C and the random recipes, the loop
 forms of the randomized-cuisine generators and of the corpus coverage
-swaps, the Gumbel form of the top-k sampler, and the pandas form of the
-compound-profile pooling.
+swaps, the Gumbel form of the top-k sampler, the pandas form of the
+compound-profile pooling, and the nested (one array per recipe) frame of
+the flat driver corpus.
 
 Reference implementations only: the package builds the overlap matrix
 with :func:`repro.flavordb.profiles.shared_matrix_numpy` and scores
@@ -24,6 +25,7 @@ from pyspark.sql.types import ArrayType, DoubleType, IntegerType, LongType, Stri
 
 from repro.core.pairing import pad_members, padded_overlap
 from repro.core.randomize import RegionInputs, batch_plan, model_batch
+from repro.culinarydb.corpus import FlatCorpus
 from repro.culinarydb.generator import RegionSpec
 from repro.flavordb.ingredients import ingredient_master
 from repro.flavordb.profiles import basic_profiles
@@ -249,3 +251,16 @@ def profiles_pandas() -> pd.DataFrame:
     parts = parts.explode("constituents").astype({"constituents": np.int64})
     pooled = parts.merge(basic.rename(columns={"ingredient_id": "constituents"}), on="constituents")
     return pd.concat([basic, pooled[["ingredient_id", "molecule_id"]]]).drop_duplicates(ignore_index=True)
+
+
+def nested_corpus(corpus: FlatCorpus) -> pd.DataFrame:
+    """``corpus`` as a pandas frame of the corpus schema, one row per
+    recipe; each ``ingredients`` array is a view into its members."""
+    return pd.DataFrame(
+        {
+            "recipe_id": corpus.recipe_id,
+            "region": corpus.region,
+            "n": corpus.n.astype(np.int32),
+            "ingredients": np.split(corpus.members, corpus.offsets[1:-1]),
+        }
+    )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.culinarydb.corpus import _batches, _generate_region, build_corpus, flat_corpus, generate_corpus
+from repro.culinarydb.corpus import _batches, _generate_region, build_corpus, flat_corpus
 from repro.culinarydb.generator import RegionSpec, generate_batch, region_specs
 from repro.flavordb.ingredients import N_INGREDIENTS
 from repro.oracle import assert_equivalent
@@ -180,34 +180,35 @@ def _nested_reference(scale: float, seed: int) -> pd.DataFrame:
 
 
 def test_spark_corpus_equals_driver_generation(corpus_small):
-    """The executors' corpus and ``generate_corpus`` are both the raw
-    generation with the loop oracle's fixes applied, row for row and member
-    for member."""
+    """The executors' corpus is the raw generation with the loop oracle's
+    fixes applied, row for row and member for member."""
     want = _nested_reference(0.02, 11)
-    spark_corpus = corpus_small.toPandas().sort_values("recipe_id").reset_index(drop=True)
-    for got in (spark_corpus, generate_corpus(0.02, 11)):
-        for col in ("recipe_id", "region", "n"):
-            assert got[col].tolist() == want[col].tolist()
-        for a, b in zip(got["ingredients"], want["ingredients"]):
-            assert np.array_equal(a, b)
+    got = corpus_small.toPandas().sort_values("recipe_id").reset_index(drop=True)
+    for col in ("recipe_id", "region", "n"):
+        assert got[col].tolist() == want[col].tolist()
+    for a, b in zip(got["ingredients"], want["ingredients"]):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("scale", [0.02, 0.1])
-def test_generate_corpus_equals_nested_reference(scale):
-    got, want = generate_corpus(scale, 11), _nested_reference(scale, 11)
-    pd.testing.assert_frame_equal(got.drop(columns="ingredients"), want.drop(columns="ingredients"), check_exact=True)
-    assert got["ingredients"].dtype == object
-    for a, b in zip(got["ingredients"], want["ingredients"]):
-        assert a.dtype == np.int64 and np.array_equal(a, b)
+def test_flat_corpus_equals_nested_reference(scale):
+    """``flat_corpus``'s arrays hold the reference's recipes in order, and
+    recipe r's slice of ``members`` is its int64 ``ingredients`` array."""
+    corpus, want = flat_corpus(scale, 11), _nested_reference(scale, 11)
+    got = pd.DataFrame({"recipe_id": corpus.recipe_id, "region": corpus.region, "n": corpus.n.astype(np.int32)})
+    pd.testing.assert_frame_equal(got, want.drop(columns="ingredients"), check_exact=True)
+    assert corpus.recipe_id.dtype == corpus.n.dtype == corpus.members.dtype == np.int64
+    assert len(corpus.members) == corpus.offsets[-1]
+    for a, b in zip(np.split(corpus.members, corpus.offsets[1:-1]), want["ingredients"]):
+        assert np.array_equal(a, b)
 
 
-def test_flat_corpus_take_matches_frame_rows(recipes_small):
+def test_flat_corpus_take_matches_frame_rows(flat_small, recipes_small):
     """``take`` by a mask or by indices selects the same recipes, members
     and order as the frame's rows."""
-    corpus = flat_corpus(0.02, 11)
-    assert np.array_equal(corpus.offsets, np.r_[0, np.cumsum(recipes_small["n"])])
-    for rows in (corpus.region != "OTHER", np.random.default_rng(3).permutation(len(corpus.n))[:300]):
-        got, want = corpus.take(rows), recipes_small[rows] if rows.dtype == bool else recipes_small.iloc[rows]
+    assert np.array_equal(flat_small.offsets, np.r_[0, np.cumsum(recipes_small["n"])])
+    for rows in (flat_small.region != "OTHER", np.random.default_rng(3).permutation(len(flat_small.n))[:300]):
+        got, want = flat_small.take(rows), recipes_small[rows] if rows.dtype == bool else recipes_small.iloc[rows]
         assert np.array_equal(got.recipe_id, want["recipe_id"])
         assert got.region.tolist() == want["region"].tolist()
         assert np.array_equal(got.n, want["n"])

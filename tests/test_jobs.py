@@ -4,10 +4,11 @@ import sys
 from collections import defaultdict
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core import pairing, randomize
-from repro.culinarydb import corpus as corpus_module
+from repro.culinarydb.generator import region_specs
 from tests.conftest import SEED
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "jobs"))
@@ -59,22 +60,41 @@ def test_t5_run_top3_matches_pair_decomposition(spark, overlap_matrix, corpus_sm
         assert row.chi == pytest.approx(ref[(row.region, row.ingredient_id)], rel=1e-9)
 
 
-def test_t5_run_pads_the_flat_corpus(monkeypatch, overlap_matrix, recipes_small):
-    """T5 takes χ from the generator's flat arrays: with ``pad_members`` and
-    the nested ``generate_corpus`` raising, it builds no per-recipe array
-    and still gives the pair decomposition's top-3."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("T5 built per-recipe ingredient arrays")
+def _refuse(*args, **kwargs):
+    raise AssertionError("the job built or unpacked per-recipe ingredient arrays")
 
+
+def test_t5_run_pads_the_flat_corpus(monkeypatch, overlap_matrix, recipes_small):
+    """T5 takes χ from the generator's flat arrays: with ``pad_members``
+    raising, it builds no per-recipe array and still gives the pair
+    decomposition's top-3."""
     for module in (pairing, randomize):
-        monkeypatch.setattr(module, "pad_members", refuse)
-    monkeypatch.setattr(corpus_module, "generate_corpus", refuse)
+        monkeypatch.setattr(module, "pad_members", _refuse)
     top = t5_contributions.run(None, scale=SCALE, seed=SEED)
     ref = _chi_by_pair_decomposition(recipes_small[recipes_small["region"] != "OTHER"], overlap_matrix)
     assert top.groupby("region")["rank"].apply(list).map(lambda r: r == [1, 2, 3]).all()
     assert top["region"].nunique() == 22
     for row in top.itertuples():
         assert row.chi == pytest.approx(ref[(row.region, row.ingredient_id)], rel=1e-9)
+
+
+def test_t1_t3_read_the_flat_corpus(monkeypatch):
+    """T1–T3 count the flat corpus's members as they are: with every
+    ``explode`` and ``pad_members`` raising, they still run, and Table 1
+    holds each region's recipes and pool."""
+    for module in (pairing, randomize):
+        monkeypatch.setattr(module, "pad_members", _refuse)
+    for frame in (pd.DataFrame, pd.Series):
+        monkeypatch.setattr(frame, "explode", _refuse)
+    table = t1_region_stats.run(None, SCALE, SEED).set_index("region")
+    specs = [s for s in region_specs(SCALE, SEED, True) if s.code != "OTHER"]
+    assert sorted(table.index) == sorted(s.code for s in specs)
+    for spec in specs:
+        assert table.loc[spec.code, "recipes"] == spec.n_recipes
+        assert table.loc[spec.code, "ingredients"] == len(spec.pool)
+    assert t2_category_heatmap.run(None, SCALE, SEED)["region"].nunique() == 24
+    sizes, curve = t3_size_popularity.run(None, SCALE, SEED)
+    assert len(sizes) == len(curve) == 23
 
 
 def test_t4_run_finite_z_for_every_region_and_model(spark):

@@ -78,6 +78,14 @@ def test_shared_matrix_matches_numpy_reference(pairs_df):
     assert np.array_equal(mat, ref + ref.T)
 
 
+def test_shared_matrix_built_once_and_read_only():
+    """Every caller shares one matrix, so none may write to it."""
+    mat = shared_matrix()
+    assert shared_matrix() is mat
+    with pytest.raises(ValueError, match="read-only"):
+        mat[0, 1] = 0
+
+
 def test_shared_matrix_symmetric_zero_diag(overlap_matrix):
     assert (overlap_matrix == overlap_matrix.T).all()
     assert (np.diag(overlap_matrix) == 0).all()

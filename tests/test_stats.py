@@ -1,7 +1,9 @@
 """Corpus statistics: Table 1, Fig. 2, Fig. 3 — with oracle checks.
 
-Oracle tests run on ``recipes_small``; the paper's claims are checked on
-``recipes_full``, the corpus at the paper's size.
+Every statistic reads the flat corpus: ``flat_small`` for the oracle
+tests, whose DuckDB side reads the nested ``recipes_small`` and
+``members_small``, and ``flat_full``, the corpus at the paper's size,
+for the paper's claims.
 """
 import numpy as np
 import pytest
@@ -20,16 +22,16 @@ from repro.flavordb.ingredients import ingredient_master
 from repro.oracle import assert_equivalent
 
 
-def test_region_table_matches_specs(recipes_small):
-    got = region_table(recipes_small).set_index("region")
+def test_region_table_matches_specs(flat_small):
+    got = region_table(flat_small).set_index("region")
     for s in region_specs(0.02, 11, True):
         assert got.loc[s.code, "recipes"] == s.n_recipes
         assert got.loc[s.code, "ingredients"] == len(s.pool)
 
 
-def test_region_table_matches_oracle(recipes_small, members_small):
+def test_region_table_matches_oracle(flat_small, members_small):
     assert_equivalent(
-        region_table(recipes_small),
+        region_table(flat_small),
         """
         SELECT region,
                count(DISTINCT recipe_id) AS recipes,
@@ -40,8 +42,8 @@ def test_region_table_matches_oracle(recipes_small, members_small):
     )
 
 
-def test_region_table_vs_paper_columns(recipes_small):
-    pdf = region_table_vs_paper(recipes_small)
+def test_region_table_vs_paper_columns(flat_small):
+    pdf = region_table_vs_paper(flat_small)
     assert len(pdf) == 22
     assert {
         "region", "paper_recipes", "paper_ingredients",
@@ -49,21 +51,21 @@ def test_region_table_vs_paper_columns(recipes_small):
     } <= set(pdf.columns)
 
 
-def test_table1_matches_paper_at_full_scale(recipes_full):
+def test_table1_matches_paper_at_full_scale(flat_full):
     """Table 1: recipes and unique ingredients match the paper in 22/22 regions."""
-    pdf = region_table_vs_paper(recipes_full)
+    pdf = region_table_vs_paper(flat_full)
     assert pdf["recipes_match"].sum() == 22, pdf[~pdf["recipes_match"]]
     assert pdf["ingredients_match"].sum() == 22, pdf[~pdf["ingredients_match"]]
 
 
-def test_category_shares_sum_to_one(recipes_small):
-    totals = category_shares(recipes_small).groupby("region")["share"].sum()
+def test_category_shares_sum_to_one(flat_small):
+    totals = category_shares(flat_small).groupby("region")["share"].sum()
     assert np.allclose(totals, 1.0)
 
 
-def test_category_shares_match_oracle(recipes_small, members_small):
+def test_category_shares_match_oracle(flat_small, members_small):
     assert_equivalent(
-        category_shares(recipes_small),
+        category_shares(flat_small),
         """
         SELECT region, category, count(*) AS count,
                count(*) / sum(count(*)) OVER (PARTITION BY region) AS share
@@ -75,9 +77,9 @@ def test_category_shares_match_oracle(recipes_small, members_small):
     )
 
 
-def test_world_category_shares_match_oracle(recipes_small, members_small):
+def test_world_category_shares_match_oracle(flat_small, members_small):
     assert_equivalent(
-        world_category_shares(recipes_small),
+        world_category_shares(flat_small),
         """
         SELECT category, count(*) AS count,
                count(*) / sum(count(*)) OVER () AS share
@@ -89,52 +91,52 @@ def test_world_category_shares_match_oracle(recipes_small, members_small):
     )
 
 
-def test_spice_regions_rank_spice_high(recipes_full):
+def test_spice_regions_rank_spice_high(flat_full):
     """Fig. 2: INSC / AFR / ME / CBN show predominant use of spice."""
-    pdf = category_shares(recipes_full)
+    pdf = category_shares(flat_full)
     for code in ("INSC", "AFR", "ME", "CBN"):
         g = pdf[pdf["region"] == code].set_index("category")["share"]
         assert g.idxmax() == "Spice", (code, g.nlargest(3))
 
 
-def test_dairy_first_regions_dairy_above_vegetable(recipes_full):
+def test_dairy_first_regions_dairy_above_vegetable(flat_full):
     """Fig. 2: FRA / BRI / SCND use dairy above vegetables."""
-    pdf = category_shares(recipes_full)
+    pdf = category_shares(flat_full)
     for code in ("FRA", "BRI", "SCND"):
         g = pdf[pdf["region"] == code].set_index("category")["share"]
         assert g["Dairy"] > g["Vegetable"], (code, g.nlargest(5))
 
 
-def test_world_top_categories(recipes_full):
+def test_world_top_categories(flat_full):
     """Fig. 2 WORLD: Vegetable/Spice/Dairy/Herb/Plant/Meat/Fruit lead."""
-    pdf = world_category_shares(recipes_full)
+    pdf = world_category_shares(flat_full)
     top7 = set(pdf.nlargest(7, "share")["category"])
     assert "Vegetable" in top7
     assert len(top7 & {"Vegetable", "Spice", "Dairy", "Herb", "Plant", "Meat", "Fruit"}) >= 5
 
 
-def test_size_histogram_global(recipes_small):
-    pdf = recipe_size_histogram(recipes_small)
+def test_size_histogram_global(flat_small):
+    pdf = recipe_size_histogram(flat_small)
     assert pdf["p"].sum() == pytest.approx(1.0)
     assert pdf["n"].between(2, 25).all()
 
 
-def test_size_histogram_per_region(recipes_small):
-    pdf = recipe_size_histogram(recipes_small, per_region=True)
+def test_size_histogram_per_region(flat_small):
+    pdf = recipe_size_histogram(flat_small, per_region=True)
     sums = pdf.groupby("region")["p"].sum()
     assert np.allclose(sums, 1.0)
 
 
-def test_size_summary_mean_about_nine(recipes_full):
+def test_size_summary_mean_about_nine(flat_full):
     """Fig. 3a: average of about nine ingredients per recipe, thin tail."""
-    pdf = recipe_size_summary(recipes_full)
+    pdf = recipe_size_summary(flat_full)
     assert pdf["mean_n"].between(8.0, 10.0).all()
     assert (pdf["max_n"] <= 25).all()
 
 
-def test_size_summary_matches_oracle(recipes_small):
+def test_size_summary_matches_oracle(flat_small, recipes_small):
     assert_equivalent(
-        recipe_size_summary(recipes_small),
+        recipe_size_summary(flat_small),
         """
         SELECT region, avg(n) AS mean_n, quantile_cont(n, 0.99) AS p99_n,
                max(n) AS max_n, count(*) AS recipes
@@ -144,23 +146,23 @@ def test_size_summary_matches_oracle(recipes_small):
     )
 
 
-def test_rank_frequency_normalized(recipes_small):
-    pdf = rank_frequency(recipes_small)
+def test_rank_frequency_normalized(flat_small):
+    pdf = rank_frequency(flat_small)
     top = pdf[pdf["rank"] == 1]
     assert (top["rel_freq"] == 1.0).all()
     assert pdf["rel_freq"].between(0, 1).all()
 
 
-def test_rank_frequency_monotone_in_rank(recipes_small):
-    pdf = rank_frequency(recipes_small)
+def test_rank_frequency_monotone_in_rank(flat_small):
+    pdf = rank_frequency(flat_small)
     for region, g in pdf.groupby("region"):
         g = g.sort_values("rank")
         assert (np.diff(g["count"]) <= 0).all(), region
 
 
-def test_rank_frequency_matches_oracle(recipes_small, members_small):
+def test_rank_frequency_matches_oracle(flat_small, members_small):
     assert_equivalent(
-        rank_frequency(recipes_small),
+        rank_frequency(flat_small),
         """
         WITH counts AS (
             SELECT region, ingredient_id, count(*) AS count
@@ -177,13 +179,13 @@ def test_rank_frequency_matches_oracle(recipes_small, members_small):
     )
 
 
-def test_rank_frequency_scaling_consistent_across_regions(recipes_full):
+def test_rank_frequency_scaling_consistent_across_regions(flat_full):
     """Fig. 3b: normalized popularity curves collapse across cuisines.
 
     Check that at matched relative ranks the normalized frequencies of
     all regions lie within a tight band (consistent scaling).
     """
-    pdf = rank_frequency(recipes_full)
+    pdf = rank_frequency(flat_full)
     grid = [0.1, 0.3, 0.5]
     for q in grid:
         vals = []
