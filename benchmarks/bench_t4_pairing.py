@@ -12,10 +12,10 @@ from repro.regions import REGIONS
 N_RAND = 5000
 
 
-def test_bench_t4_food_pairing(benchmark, spark, bench_corpus, bench_matrix):
+def test_bench_t4_food_pairing(benchmark, spark, bench_inputs, bench_matrix):
     def work():
         return food_pairing_table(
-            spark, bench_corpus, bench_matrix, n_rand=N_RAND, seed=17
+            spark, bench_inputs, bench_matrix, n_rand=N_RAND, seed=17
         )
 
     table = benchmark.pedantic(work, rounds=2, iterations=1, warmup_rounds=0)

@@ -1,10 +1,11 @@
 """Benchmark fixtures: SF≈0.1 corpus (~4.6k recipes) shared per session,
-as a Spark DataFrame (T4) and as the driver's flat arrays (T1–T3, T5)."""
+as Fig. 4's model inputs (T4) and as the driver's flat arrays (T1–T3, T5)."""
 import numpy as np
 import pytest
 
 from repro.core.pairing import shared_matrix
-from repro.culinarydb.corpus import FlatCorpus, build_corpus, flat_corpus
+from repro.core.randomize import RegionInputs, region_model_inputs
+from repro.culinarydb.corpus import FlatCorpus, flat_corpus
 
 BENCH_SCALE = 0.1
 SEED = 11
@@ -16,11 +17,8 @@ def bench_matrix() -> np.ndarray:
 
 
 @pytest.fixture(scope="session")
-def bench_corpus(spark):
-    df = build_corpus(spark, scale=BENCH_SCALE, seed=SEED).persist()
-    df.count()
-    yield df
-    df.unpersist()
+def bench_inputs(spark) -> dict[str, RegionInputs]:
+    return region_model_inputs(spark, scale=BENCH_SCALE, seed=SEED)
 
 
 @pytest.fixture(scope="session")

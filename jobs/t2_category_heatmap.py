@@ -19,7 +19,7 @@ def run(spark: SparkSession | None, scale: float = 1.0, seed: int = 11) -> pd.Da
     keeps the ``run(spark, scale, seed)`` shape of the other jobs."""
     corpus = flat_corpus(scale, seed)
     per_region = category_shares(corpus)
-    world = world_category_shares(corpus)
+    world = world_category_shares(per_region)
     world["region"] = "WORLD"
     return pd.concat([per_region, world[["region", "category", "count", "share"]]])
 

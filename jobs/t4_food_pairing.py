@@ -12,8 +12,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.pairing import shared_matrix
+from repro.core.randomize import region_model_inputs
 from repro.core.zscore import food_pairing_table
-from repro.culinarydb.corpus import build_corpus
 from repro.regions import REGIONS
 
 
@@ -23,12 +23,8 @@ def run(
     seed: int = 11,
     n_rand: int = 100_000,
 ) -> pd.DataFrame:
-    corpus = build_corpus(spark, scale=scale, seed=seed).persist()
-    try:
-        corpus.count()
-        table = food_pairing_table(spark, corpus, shared_matrix(), n_rand=n_rand, seed=seed + 6)
-    finally:
-        corpus.unpersist()
+    inputs = region_model_inputs(spark, scale=scale, seed=seed)
+    table = food_pairing_table(spark, inputs, shared_matrix(), n_rand=n_rand, seed=seed + 6)
     signs = {r.code: r.pairing_sign for r in REGIONS}
     table["paper_sign"] = table["region"].map(signs)
     table["sign_ok"] = np.sign(table["z_real"]) == table["paper_sign"]

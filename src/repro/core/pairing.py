@@ -13,13 +13,12 @@ One overlap matrix and one gather kernel serve every score:
 ``np.bincount`` counts the molecules each ingredient pair shares.
 :func:`padded_overlap` checks a padded (recipes × max size) matrix of
 member ids and gathers each member's overlap T_{R,i}, one recipe size at
-a time, so it reads only real member pairs.  χ in
-:mod:`repro.core.contribution` pads the generator's flat member array
-with :func:`pad_flat`; :func:`pad_members` serves only Fig. 4's model
-inputs (:mod:`repro.core.randomize`), padding a frame's ``ingredients``
-arrays.  The Fig. 4 stage of :mod:`repro.core.zscore` hands the kernel
-those padded real recipes and the generators' own padded matrices, so
-N_s^R, N_s^C, σ and χ all come from this kernel.
+a time, so it reads only real member pairs.  :func:`pad_flat` pads the
+generator's flat member array: χ in :mod:`repro.core.contribution` pads
+the whole corpus, and Fig. 4's model inputs (:mod:`repro.core.randomize`)
+each region's recipes.  The Fig. 4 stage of :mod:`repro.core.zscore`
+hands the kernel those padded real recipes and the generators' own
+padded matrices, so N_s^R, N_s^C, σ and χ all come from this kernel.
 """
 from __future__ import annotations
 
@@ -27,7 +26,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-import pandas as pd
 
 from repro.flavordb.ingredients import N_INGREDIENTS
 from repro.flavordb.profiles import profiles, shared_matrix_numpy
@@ -55,13 +53,6 @@ def pad_flat(members: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     ids = np.full((len(lengths), lengths.max()), PAD_ID, dtype=np.int64)
     ids[np.arange(ids.shape[1]) < lengths[:, None]] = members
     return ids
-
-
-def pad_members(ingredients: pd.Series) -> tuple[np.ndarray, np.ndarray]:
-    """(recipes × max size) member ids, each row's members then ``PAD_ID``,
-    and each recipe's member count."""
-    lengths = ingredients.map(len).to_numpy()
-    return pad_flat(np.concatenate(ingredients.to_list()), lengths), lengths
 
 
 def padded_overlap(

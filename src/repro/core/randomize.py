@@ -10,10 +10,12 @@ size distribution; they differ in how recipe ingredients are drawn:
 * ``freq_cat``  — category composition preserved *and* ingredients
   frequency-weighted within each category.
 
-Model inputs (pools, frequencies, sizes, the real recipes) are derived
-from the corpus with Spark aggregations; :func:`batch_plan` lists, on the
-driver, (region, model, batch) rows for the models and for ``REAL``, the
-cuisine's own recipes.  Random batches draw with the corpus's sampler,
+Model inputs (pools, frequencies, sizes, the real recipes) come from the
+flat driver corpus; only the pool order and its usage counts come from a
+Spark aggregation, one job over the corpus's batch layout.
+:func:`batch_plan` lists, on the driver, (region, model, batch) rows for
+the models and for ``REAL``, the cuisine's own recipes.  Random batches
+draw with the corpus's sampler,
 :func:`repro.culinarydb.generator.topk_rows`: the Gumbel top-k orders of
 the same uniform draws, ranked as Exp(1)/frequency keys (Efraimidis &
 Spirakis, IPL 2006), or as the draws themselves when uniform.  Each
@@ -25,13 +27,15 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
+import pandas as pd
+from pyspark.sql import SparkSession
 
-from repro.core.pairing import PAD_ID, pad_members
-from repro.culinarydb.corpus import explode_corpus
-from repro.culinarydb.generator import topk_rows
+from repro.core.pairing import PAD_ID, pad_flat
+from repro.culinarydb.corpus import batch_frame, flat_corpus
+from repro.culinarydb.generator import region_specs, topk_rows
 from repro.flavordb.ingredients import CATEGORIES, ingredient_master
 
 #: The four models, in the paper's order.
@@ -62,21 +66,43 @@ class RegionInputs:
     cat_comp: np.ndarray
 
 
-def region_model_inputs(spark: SparkSession, corpus: DataFrame) -> dict[str, RegionInputs]:
-    """Derive per-region model inputs from the corpus.
+def region_model_inputs(
+    spark: SparkSession, *, scale: float = 1.0, seed: int = 11
+) -> dict[str, RegionInputs]:
+    """Per-region model inputs of the corpus at ``scale`` and ``seed``.
 
-    Usage counts come from a distributed explode + groupBy; the rest is
-    built from the collected recipes (≤46k rows of short arrays).  ``pool``
-    takes the groupBy's row order and ``sizes`` the collect order, so both
-    can change with the corpus's partitioning.
+    The corpus is generated once on the driver (:func:`flat_corpus`), and
+    ``sizes``, ``ids`` and ``cat_comp`` take each region's recipes in
+    ``recipe_id`` order.  ``pool`` and ``counts`` come from one Spark job:
+    every batch of :func:`repro.culinarydb.corpus.batch_frame`, the layout
+    of :func:`repro.culinarydb.corpus.build_corpus`, emits its (region,
+    ingredient_id) members, sliced from a broadcast of the flat members,
+    and a ``groupBy`` counts them.  ``pool`` takes the aggregation's row
+    order, so it can change with the shuffle partitioning; the broadcast
+    is destroyed on return.
     """
-    usage = (
-        explode_corpus(corpus)
-        .groupBy("region", "ingredient_id")
-        .count()
-        .toPandas()
-    )
-    recipes = corpus.select("region", "n", "ingredients").toPandas()
+    corpus = flat_corpus(scale, seed)
+    specs = region_specs(scale, seed)
+    first = {s.code: s.recipe_offset for s in specs}
+    bc = spark.sparkContext.broadcast((corpus.members, corpus.offsets))
+
+    def members(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        flat, offsets = bc.value
+        for pdf in batches:
+            for code, start, count in pdf.itertuples(index=False):
+                lo = first[code] + start
+                yield pd.DataFrame({"region": code, "ingredient_id": flat[offsets[lo]:offsets[lo + count]]})
+
+    try:
+        usage = (
+            batch_frame(spark, specs)
+            .mapInPandas(members, "region string, ingredient_id long")
+            .groupBy("region", "ingredient_id")
+            .count()
+            .toPandas()
+        )
+    finally:
+        bc.destroy()
     master = ingredient_master()
     cat_of = master.set_index("ingredient_id")["category"].map(
         {c: k for k, c in enumerate(CATEGORIES)}
@@ -87,20 +113,19 @@ def region_model_inputs(spark: SparkSession, corpus: DataFrame) -> dict[str, Reg
     out: dict[str, RegionInputs] = {}
     for region, g in usage.groupby("region"):
         pool = g["ingredient_id"].to_numpy()
-        counts = g["count"].to_numpy().astype(np.float64)
-        rg = recipes[recipes["region"] == region]
-        ids, _ = pad_members(rg["ingredients"])
-        rows, slots = np.nonzero(ids != PAD_ID)
-        comp = np.zeros((len(rg), len(CATEGORIES)), dtype=np.int16)
-        np.add.at(comp, (rows, cat_arr[ids[rows, slots]]), 1)
+        rc = corpus.take(corpus.region == region)
+        recipe = np.repeat(np.arange(len(rc.n)), rc.n)
+        comp = np.bincount(
+            recipe * len(CATEGORIES) + cat_arr[rc.members], minlength=len(rc.n) * len(CATEGORIES)
+        ).reshape(len(rc.n), len(CATEGORIES))
         out[region] = RegionInputs(
             code=region,
             pool=pool,
-            counts=counts,
-            sizes=rg["n"].to_numpy().astype(np.int64),
-            ids=ids,
+            counts=g["count"].to_numpy().astype(np.float64),
+            sizes=rc.n,
+            ids=pad_flat(rc.members, rc.n),
             cat_idx=cat_arr[pool],
-            cat_comp=comp,
+            cat_comp=comp.astype(np.int16),
         )
     return out
 

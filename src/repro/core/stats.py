@@ -68,9 +68,10 @@ def category_shares(corpus: FlatCorpus) -> pd.DataFrame:
     return counts
 
 
-def world_category_shares(corpus: FlatCorpus) -> pd.DataFrame:
-    """Fig. 2's WORLD aggregate row (all regions pooled)."""
-    counts = _counts(_usage(corpus), ["category"])
+def world_category_shares(per_region: pd.DataFrame) -> pd.DataFrame:
+    """Fig. 2's WORLD aggregate row (all regions pooled), from the
+    per-region counts of :func:`category_shares`."""
+    counts = per_region.groupby("category", as_index=False)["count"].sum()
     counts["share"] = counts["count"] / counts["count"].sum()
     return counts
 

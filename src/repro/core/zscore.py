@@ -9,7 +9,9 @@ computed for each of the other randomized models (frequency, category,
 frequency+category) to ask which factors *reproduce* the real cuisine's
 deviation: a model whose Z matches the real cuisine's Z explains the
 pattern; one near 0 does not.  The real cuisines and all four models
-are scored in one fused stage, :func:`model_moments`.
+are scored in one fused stage, :func:`model_moments`, from the model
+inputs of :func:`repro.core.randomize.region_model_inputs`; no corpus
+DataFrame is built.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.core.pairing import PAD_ID, padded_overlap
 from repro.core.randomize import (
@@ -26,7 +28,6 @@ from repro.core.randomize import (
     RegionInputs,
     batch_plan,
     model_batch,
-    region_model_inputs,
 )
 
 _MOMENTS_SCHEMA = "region string, model string, start int, count int, mean double, m2 double"
@@ -104,7 +105,7 @@ def merge_moments(batches: pd.DataFrame) -> pd.DataFrame:
 
 def food_pairing_table(
     spark: SparkSession,
-    corpus: DataFrame,
+    inputs: dict[str, RegionInputs],
     matrix: np.ndarray,
     *,
     n_rand: int = 100_000,
@@ -117,12 +118,13 @@ def food_pairing_table(
     non-random model, and ``pairing`` ('uniform' for Z > 0,
     'contrasting' for Z < 0).
 
-    ``matrix`` is the broadcast overlap matrix from
-    :func:`repro.core.pairing.shared_matrix`.  The real cuisines and all
-    models' random recipes are scored in one :func:`model_moments` pass,
-    the real recipes as the plan's ``REAL`` batches.
+    ``inputs`` are :func:`repro.core.randomize.region_model_inputs`, one
+    row of the table per region; ``matrix`` is the broadcast overlap
+    matrix from :func:`repro.core.pairing.shared_matrix`.  The real
+    cuisines and all models' random recipes are scored in one
+    :func:`model_moments` pass, the real recipes as the plan's ``REAL``
+    batches.
     """
-    inputs = region_model_inputs(spark, corpus)
     plan = batch_plan(inputs, (REAL, *MODELS), n_rand)
     wide = model_moments(spark, plan, inputs, matrix, seed).pivot(index="region", columns="model")
     ns, sigma = wide["ns"], wide["sigma"]

@@ -17,9 +17,7 @@ construction*:
   for positive regions, mutually dissimilar for negative ones) — i.e.
   through the mechanism the paper itself identifies as the driver.
 """
-from repro.culinarydb.corpus import FlatCorpus, build_corpus, explode_corpus, flat_corpus
+from repro.culinarydb.corpus import FlatCorpus, build_corpus, flat_corpus
 from repro.culinarydb.generator import RegionSpec, region_specs
 
-__all__ = [
-    "FlatCorpus", "RegionSpec", "build_corpus", "explode_corpus", "flat_corpus", "region_specs",
-]
+__all__ = ["FlatCorpus", "RegionSpec", "build_corpus", "flat_corpus", "region_specs"]

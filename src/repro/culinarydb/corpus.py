@@ -17,14 +17,17 @@ make the distortion negligible).
 (per-recipe ``recipe_id``, ``region`` and ``n``, and every member in
 recipe order; recipe r's members start at ``offsets[r]``, the cumulative
 sum of ``n``) with no Spark job and no per-recipe object.  It is the
-driver's only form of the corpus: Table 1 and Figs. 2, 3 and 5 read it.
-``build_corpus`` serves Fig. 4 only.
-It keeps only the swapped recipes and defines the DataFrame lazily: one
-``mapInPandas`` pass over the (region, start, count) batch plan
-generates the batches again on the executors and overrides the swapped
-recipes, so it starts no Spark job.  The plan's partition layout fixes
-the row order that Fig. 4's model inputs read, so the executors
-regenerate rather than receive the driver's recipes.
+driver's only form of the corpus: Table 1 and Figs. 2–5 read it.
+
+``batch_frame`` lays the (region, start, count) batch plan out over the
+Spark partitions.  Fig. 4's usage count
+(:func:`repro.core.randomize.region_model_inputs`) runs over it, so its
+``groupBy`` sees the rows in the order that ``build_corpus`` gives them.
+``build_corpus`` is the corpus as a Spark DataFrame, for the benchmark's
+references and the tests' Spark oracles only.  It keeps only the
+swapped recipes and defines the DataFrame lazily: one ``mapInPandas``
+pass over ``batch_frame`` generates the batches again on the executors
+and overrides the swapped recipes, so it starts no Spark job.
 
 Schema of ``build_corpus``'s rows (``FlatCorpus`` flattens ``ingredients``)::
 
@@ -39,7 +42,6 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 import pandas as pd
-import pyspark.sql.functions as F
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import (
     ArrayType,
@@ -171,6 +173,20 @@ def flat_corpus(scale: float = 1.0, seed: int = 11) -> FlatCorpus:
     )
 
 
+def batch_frame(spark: SparkSession, specs: tuple[RegionSpec, ...]) -> DataFrame:
+    """The (code, start, count) generation batches of ``specs``, one row
+    each, round-robin over ``min(batches, defaultParallelism)`` partitions.
+
+    The layout fixes which task reads which batches, and in what order:
+    a job over it hands its aggregations the same row sequence whatever
+    it emits per batch.
+    """
+    rows = [(s.code, start, count) for s in specs for start, count in _batches(s)]
+    return spark.createDataFrame(rows, _PLAN_SCHEMA).repartition(
+        max(1, min(len(rows), spark.sparkContext.defaultParallelism))
+    )
+
+
 def build_corpus(spark: SparkSession, *, scale: float = 1.0, seed: int = 11) -> DataFrame:
     """Build the recipe corpus at ``scale`` (1.0 → the paper's 45,772).
 
@@ -179,10 +195,6 @@ def build_corpus(spark: SparkSession, *, scale: float = 1.0, seed: int = 11) -> 
     """
     specs = region_specs(scale, seed)
     fixes = {s.code: _generate_region(s, seed)[2] for s in specs}
-    plan_rows = [(s.code, start, count) for s in specs for start, count in _batches(s)]
-    plan = spark.createDataFrame(plan_rows, _PLAN_SCHEMA).repartition(
-        max(1, min(len(plan_rows), spark.sparkContext.defaultParallelism))
-    )
     by_code = {s.code: s for s in specs}
 
     def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
@@ -194,11 +206,4 @@ def build_corpus(spark: SparkSession, *, scale: float = 1.0, seed: int = 11) -> 
                 recipes = [fixes[code].get(start + i, r) for i, r in enumerate(recipes)]
                 yield _frame(spec, start, sizes, recipes)
 
-    return plan.mapInPandas(gen, CORPUS_SCHEMA)
-
-
-def explode_corpus(recipes: DataFrame) -> DataFrame:
-    """Long format: one (recipe_id, region, n, ingredient_id) row per member."""
-    return recipes.select(
-        "recipe_id", "region", "n", F.explode("ingredients").alias("ingredient_id")
-    )
+    return batch_frame(spark, specs).mapInPandas(gen, CORPUS_SCHEMA)

@@ -2,8 +2,9 @@
 
 Everything session-scoped and deterministic so the whole suite pays the
 Spark build cost once.  ``corpus_small`` (scale 0.02, ~1k recipes) backs
-unit/oracle tests; ``corpus_mid`` (scale 0.1) backs the statistical
-shape tests that need more data.  ``flat_small`` and ``flat_full`` are
+unit/oracle tests; ``corpus_mid`` (scale 0.1) backs the model-inputs
+order contract.  ``inputs_small`` and ``inputs_mid`` are Fig. 4's model
+inputs at those scales.  ``flat_small`` and ``flat_full`` are
 the same corpus at scale 0.02 and at the paper's size as the driver's
 flat arrays, generated with no Spark job; ``recipes_small`` is
 ``flat_small`` as a pandas frame, one array per recipe, and
@@ -15,11 +16,12 @@ import pandas as pd
 import pytest
 
 from repro.aliasing.mapper import alias_phrases
-from repro.culinarydb.corpus import FlatCorpus, build_corpus, explode_corpus, flat_corpus
+from repro.culinarydb.corpus import FlatCorpus, build_corpus, flat_corpus
 from repro.culinarydb.phrases import phrases_df
 from repro.flavordb.profiles import profiles
 from repro.core.pairing import shared_matrix
-from tests.reference import nested_corpus, shared_pairs
+from repro.core.randomize import RegionInputs, region_model_inputs
+from tests.reference import explode_corpus, nested_corpus, shared_pairs
 
 SEED = 11
 
@@ -65,6 +67,16 @@ def corpus_mid(spark):
     df.count()
     yield df
     df.unpersist()
+
+
+@pytest.fixture(scope="session")
+def inputs_small(spark) -> dict[str, RegionInputs]:
+    return region_model_inputs(spark, scale=0.02, seed=SEED)
+
+
+@pytest.fixture(scope="session")
+def inputs_mid(spark) -> dict[str, RegionInputs]:
+    return region_model_inputs(spark, scale=0.1, seed=SEED)
 
 
 @pytest.fixture(scope="session")

@@ -9,10 +9,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.pairing import pad_members, padded_overlap
-from repro.core.randomize import REAL, batch_plan, region_model_inputs
+from repro.core.pairing import padded_overlap
+from repro.core.randomize import REAL, batch_plan
 from repro.core.zscore import model_moments
-from tests.reference import cuisine_scores, recipe_scores_fast, recipe_scores_join
+from tests.reference import cuisine_scores, pad_members, recipe_scores_fast, recipe_scores_join
 
 
 @pytest.fixture(scope="module")
@@ -42,11 +42,11 @@ def test_pairing_scores_identical_through_aliasing(rebuilt, recipes_small, overl
 
 
 def test_cuisine_scores_stable_across_paths(
-    spark, corpus_small, exploded_small, pairs_df, overlap_matrix
+    spark, corpus_small, exploded_small, pairs_df, overlap_matrix, inputs_small
 ):
     """N_s^C, σ and the recipe count: join reference == per-recipe kernel
     == the fused Fig. 4 stage's ``real`` rows."""
-    inputs = region_model_inputs(spark, corpus_small)
+    inputs = inputs_small
     via_join, via_fast, via_fused = (
         df.set_index("region").sort_index()
         for df in (

@@ -7,7 +7,6 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core import pairing, randomize
 from repro.culinarydb.generator import region_specs
 from tests.conftest import SEED
 
@@ -64,12 +63,18 @@ def _refuse(*args, **kwargs):
     raise AssertionError("the job built or unpacked per-recipe ingredient arrays")
 
 
+def _refuse_per_recipe_arrays(monkeypatch) -> None:
+    """Make splitting the flat members by recipe, and every ``explode``, raise."""
+    monkeypatch.setattr(np, "split", _refuse)
+    for frame in (pd.DataFrame, pd.Series):
+        monkeypatch.setattr(frame, "explode", _refuse)
+
+
 def test_t5_run_pads_the_flat_corpus(monkeypatch, overlap_matrix, recipes_small):
-    """T5 takes χ from the generator's flat arrays: with ``pad_members``
-    raising, it builds no per-recipe array and still gives the pair
-    decomposition's top-3."""
-    for module in (pairing, randomize):
-        monkeypatch.setattr(module, "pad_members", _refuse)
+    """T5 takes χ from the generator's flat arrays: with ``np.split`` and
+    every ``explode`` raising, it builds no per-recipe array and still
+    gives the pair decomposition's top-3."""
+    _refuse_per_recipe_arrays(monkeypatch)
     top = t5_contributions.run(None, scale=SCALE, seed=SEED)
     ref = _chi_by_pair_decomposition(recipes_small[recipes_small["region"] != "OTHER"], overlap_matrix)
     assert top.groupby("region")["rank"].apply(list).map(lambda r: r == [1, 2, 3]).all()
@@ -80,12 +85,9 @@ def test_t5_run_pads_the_flat_corpus(monkeypatch, overlap_matrix, recipes_small)
 
 def test_t1_t3_read_the_flat_corpus(monkeypatch):
     """T1–T3 count the flat corpus's members as they are: with every
-    ``explode`` and ``pad_members`` raising, they still run, and Table 1
+    ``explode`` and ``np.split`` raising, they still run, and Table 1
     holds each region's recipes and pool."""
-    for module in (pairing, randomize):
-        monkeypatch.setattr(module, "pad_members", _refuse)
-    for frame in (pd.DataFrame, pd.Series):
-        monkeypatch.setattr(frame, "explode", _refuse)
+    _refuse_per_recipe_arrays(monkeypatch)
     table = t1_region_stats.run(None, SCALE, SEED).set_index("region")
     specs = [s for s in region_specs(SCALE, SEED, True) if s.code != "OTHER"]
     assert sorted(table.index) == sorted(s.code for s in specs)
@@ -120,6 +122,17 @@ def test_run_releases_the_corpus_it_caches(spark, run):
     assert set(persistent()) <= before
 
 
+def _jobs_started(spark, group: str, run) -> list[int]:
+    """Ids of the Spark jobs that ``run()`` starts, under job group ``group``."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, "jobs of one run")
+    try:
+        run()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return sc.statusTracker().getJobIdsForGroup(group)
+
+
 @pytest.mark.parametrize(
     "job",
     [t1_region_stats, t2_category_heatmap, t3_size_popularity, t5_contributions],
@@ -127,11 +140,12 @@ def test_run_releases_the_corpus_it_caches(spark, run):
 )
 def test_run_starts_no_spark_job(spark, job):
     """T1–T3 and T5 run on the driver's pandas corpus."""
-    sc = spark.sparkContext
-    group = f"{job.__name__}_run"
-    sc.setJobGroup(group, "runs on the driver")
-    try:
-        job.run(spark, SCALE, SEED)
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-    assert sc.statusTracker().getJobIdsForGroup(group) == []
+    assert _jobs_started(spark, f"{job.__name__}_run", lambda: job.run(spark, SCALE, SEED)) == []
+
+
+def test_t4_run_starts_at_most_four_spark_jobs(spark):
+    """T4 builds no corpus DataFrame: its Spark work is the model inputs'
+    usage count and the fused stage's one wave, at most four jobs under
+    adaptive execution (eight when it cached and collected the corpus)."""
+    jobs = _jobs_started(spark, "t4_run", lambda: t4_food_pairing.run(spark, SCALE, SEED, n_rand=200))
+    assert 0 < len(jobs) <= 4

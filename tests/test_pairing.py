@@ -4,10 +4,10 @@ import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
-from repro.core.pairing import PAD_ID, pad_members, padded_overlap, shared_matrix
+from repro.core.pairing import PAD_ID, padded_overlap, shared_matrix
 from repro.flavordb.profiles import shared_matrix_numpy
 from repro.oracle import assert_equivalent
-from tests.reference import cuisine_scores, recipe_scores_fast, recipe_scores_join, shared_pairs
+from tests.reference import cuisine_scores, pad_members, recipe_scores_fast, recipe_scores_join, shared_pairs
 
 # --- hand-built micro fixture: 3 ingredients, known overlaps -------------
 # F_0 = {0,1,2}, F_1 = {1,2,3}, F_2 = {9}

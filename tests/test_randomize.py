@@ -6,16 +6,17 @@ import pytest
 from repro.core.pairing import PAD_ID
 from repro.core.randomize import MODELS, model_batch, region_model_inputs
 from repro.flavordb.ingredients import CATEGORIES, ingredient_master
-from tests.reference import model_batch_loop, random_recipes
+from tests.conftest import SEED
+from tests.reference import model_batch_loop, random_recipes, region_model_inputs_frame
 
 N_RAND = 800
 REGION_SUBSET = ("ITA", "KOR")
+INPUT_FIELDS = ("pool", "counts", "sizes", "ids", "cat_idx", "cat_comp")
 
 
 @pytest.fixture(scope="module")
-def inputs(spark, corpus_small):
-    sub = corpus_small.where(F.col("region").isin(list(REGION_SUBSET)))
-    return region_model_inputs(spark, sub)
+def inputs(inputs_small):
+    return {code: inputs_small[code] for code in REGION_SUBSET}
 
 
 @pytest.fixture(scope="module", params=MODELS)
@@ -26,9 +27,10 @@ def model_output(request, spark, inputs):
     df.unpersist()
 
 
-def test_inputs_cover_regions(inputs, corpus_small):
+def test_inputs_cover_regions(inputs, recipes_small):
+    """Each region's real recipes, padded, in ``recipe_id`` order."""
     assert set(inputs) == set(REGION_SUBSET)
-    recipes = corpus_small.select("region", "ingredients").toPandas()
+    recipes = recipes_small
     cat_of = ingredient_master().set_index("ingredient_id")["category"].map(
         {c: k for k, c in enumerate(CATEGORIES)}
     )
@@ -44,18 +46,48 @@ def test_inputs_cover_regions(inputs, corpus_small):
             assert comp.tolist() == np.bincount(cat_of.loc[ing], minlength=len(CATEGORIES)).tolist()
 
 
-@pytest.mark.xfail(strict=True, reason="pool takes the groupBy's row order and sizes the collect order")
-def test_model_inputs_independent_of_partitioning(spark, corpus_small, inputs):
-    """The same recipes under other partitioning give the same model inputs."""
-    sub = corpus_small.where(F.col("region").isin(list(REGION_SUBSET))).repartition(3)
+@pytest.mark.parametrize("corpus", ["corpus_small", "corpus_mid"])
+def test_model_inputs_equal_the_corpus_frame_form(request, spark, corpus):
+    """The order contract: every field of every region equals, in order,
+    the explode + groupBy + collect over ``build_corpus``'s DataFrame, so
+    the Fig. 4 draws, which index into ``pool`` and ``sizes``, are the
+    ones that form gave."""
+    df = request.getfixturevalue(corpus)
+    got = request.getfixturevalue(corpus.replace("corpus", "inputs"))
+    ref = region_model_inputs_frame(spark, df)
+    assert list(got) == list(ref)
+    for code, inp in ref.items():
+        for field in INPUT_FIELDS:
+            want, have = getattr(inp, field), getattr(got[code], field)
+            assert have.dtype == want.dtype and np.array_equal(have, want), (code, field)
+
+
+@pytest.fixture(scope="module")
+def inputs_seven_partitions(spark):
+    """``inputs_small`` computed under 7 shuffle partitions."""
     prev = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set("spark.sql.shuffle.partitions", "7")
     try:
-        other = region_model_inputs(spark, sub)
+        return region_model_inputs(spark, scale=0.02, seed=SEED)
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", prev)
-    for code, inp in inputs.items():
+
+
+@pytest.mark.xfail(strict=True, reason="pool and counts take the groupBy's row order")
+def test_model_inputs_independent_of_partitioning(inputs_small, inputs_seven_partitions):
+    """The same corpus under other shuffle partitioning gives the same model inputs."""
+    for code, inp in inputs_small.items():
         for field in ("pool", "counts", "sizes", "ids", "cat_comp"):
+            other = inputs_seven_partitions[code]
+            assert np.array_equal(getattr(other, field), getattr(inp, field)), (code, field)
+
+
+def test_real_recipes_independent_of_partitioning(inputs_small, inputs_seven_partitions):
+    """``sizes``, ``ids`` and ``cat_comp`` follow ``recipe_id`` order,
+    whatever the shuffle partitioning."""
+    other = inputs_seven_partitions
+    for code, inp in inputs_small.items():
+        for field in ("sizes", "ids", "cat_comp"):
             assert np.array_equal(getattr(other[code], field), getattr(inp, field)), (code, field)
 
 

@@ -79,7 +79,7 @@ def test_category_shares_match_oracle(flat_small, members_small):
 
 def test_world_category_shares_match_oracle(flat_small, members_small):
     assert_equivalent(
-        world_category_shares(flat_small),
+        world_category_shares(category_shares(flat_small)),
         """
         SELECT category, count(*) AS count,
                count(*) / sum(count(*)) OVER () AS share
@@ -109,7 +109,7 @@ def test_dairy_first_regions_dairy_above_vegetable(flat_full):
 
 def test_world_top_categories(flat_full):
     """Fig. 2 WORLD: Vegetable/Spice/Dairy/Herb/Plant/Meat/Fruit lead."""
-    pdf = world_category_shares(flat_full)
+    pdf = world_category_shares(category_shares(flat_full))
     top7 = set(pdf.nlargest(7, "share")["category"])
     assert "Vegetable" in top7
     assert len(top7 & {"Vegetable", "Spice", "Dairy", "Herb", "Plant", "Meat", "Fruit"}) >= 5

@@ -4,7 +4,6 @@ import os
 
 import numpy as np
 import pandas as pd
-import pyspark.sql.functions as F
 from pyspark.errors import PythonException
 import pytest
 
@@ -13,6 +12,7 @@ from repro.core.randomize import MODELS, REAL, batch_plan, region_model_inputs
 from repro.core import zscore
 from repro.core.zscore import _deal, food_pairing_table, merge_moments, model_moments
 from repro.regions import by_code
+from tests.conftest import SEED
 from tests.reference import cuisine_scores, random_recipes, recipe_scores_fast
 
 #: Two strongly-positive and two strongly-negative regions keep the
@@ -21,8 +21,8 @@ SUBSET = ("ITA", "INSC", "JPN", "EE")
 
 
 @pytest.fixture(scope="module")
-def table(spark, corpus_mid, overlap_matrix):
-    sub = corpus_mid.where(F.col("region").isin(list(SUBSET)))
+def table(spark, inputs_mid, overlap_matrix):
+    sub = {code: inputs_mid[code] for code in SUBSET}
     return food_pairing_table(spark, sub, overlap_matrix, n_rand=4000, seed=17)
 
 
@@ -87,8 +87,8 @@ N_FUSED = 5300
 
 
 @pytest.fixture(scope="module")
-def small_inputs(spark, corpus_small):
-    return region_model_inputs(spark, corpus_small.where(F.col("region").isin(["ITA", "KOR"])))
+def small_inputs(inputs_small):
+    return {code: inputs_small[code] for code in ("ITA", "KOR")}
 
 
 @pytest.fixture(scope="module")
@@ -141,11 +141,14 @@ def test_model_moments_is_one_wave(spark, small_inputs, overlap_matrix):
     assert tracker.getStageInfo(stage).numTasks == sc.defaultParallelism
 
 
-def test_food_pairing_table_releases_its_broadcasts(spark, corpus_small, overlap_matrix):
-    """No pickled broadcast is left behind in the context's temp dir."""
+def test_food_pairing_table_releases_its_broadcasts(spark, overlap_matrix):
+    """No pickled broadcast, the model inputs' flat members included, is
+    left behind in the context's temp dir."""
     temp = spark.sparkContext._temp_dir
     before = len(os.listdir(temp))
-    food_pairing_table(spark, corpus_small.where(F.col("region") == "KOR"), overlap_matrix, n_rand=200)
+    inputs = region_model_inputs(spark, scale=0.02, seed=SEED)
+    assert len(os.listdir(temp)) == before
+    food_pairing_table(spark, {"KOR": inputs["KOR"]}, overlap_matrix, n_rand=200)
     assert len(os.listdir(temp)) == before
 
 
