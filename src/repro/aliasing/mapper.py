@@ -18,13 +18,13 @@ from repro.aliasing.textnorm import normalize, normalize_name, pluralize
 from repro.flavordb.ingredients import ingredient_master
 
 
-def build_lexicon(seed: int = 7) -> dict[str, int]:
+def build_lexicon() -> dict[str, int]:
     """Normalized name/synonym → ingredient_id lookup table.
 
     Raises if two distinct ingredients normalize to the same key — a
     lexicon collision would silently mis-map phrases.
     """
-    master = ingredient_master(seed)
+    master = ingredient_master()
     out: dict[str, int] = {}
     for ing_id, name, synonyms in zip(master["ingredient_id"].tolist(), master["name"], master["synonyms"]):
         for raw_name in (name, *synonyms):
@@ -54,10 +54,10 @@ def alias_one(phrase: str, lex: dict[str, int]) -> tuple[int | None, str]:
     return None, "unmatched"
 
 
-def alias_phrases(phrases: pd.DataFrame, seed: int = 7) -> pd.DataFrame:
+def alias_phrases(phrases: pd.DataFrame) -> pd.DataFrame:
     """``phrases`` plus ``mapped_id`` (``Int64``, null when unmatched) and
     ``status``, one :func:`alias_one` per row of its ``phrase`` column."""
-    lex = build_lexicon(seed)
+    lex = build_lexicon()
     hits = [alias_one(phrase, lex) for phrase in phrases["phrase"]]
     return phrases.assign(
         mapped_id=pd.array([ing_id for ing_id, _ in hits], dtype="Int64"),

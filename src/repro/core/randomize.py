@@ -12,7 +12,7 @@ size distribution; they differ in how recipe ingredients are drawn:
 
 Model inputs (pools, frequencies, sizes, the real recipes) come from the
 flat driver corpus; only the pool order and its usage counts come from a
-Spark aggregation, one job over the corpus's batch layout.
+Spark aggregation, one job over :func:`repro.culinarydb.corpus.corpus_frame`.
 :func:`batch_plan` lists, on the driver, (region, model, batch) rows for
 the models and for ``REAL``, the cuisine's own recipes.  Random batches
 draw with the corpus's sampler,
@@ -27,14 +27,12 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.pairing import PAD_ID, pad_flat
-from repro.culinarydb.corpus import batch_frame, flat_corpus
+from repro.culinarydb.corpus import corpus_frame, flat_corpus
 from repro.culinarydb.generator import region_specs, topk_rows
 from repro.flavordb.ingredients import CATEGORIES, ingredient_master
 
@@ -74,29 +72,19 @@ def region_model_inputs(
     The corpus is generated once on the driver (:func:`flat_corpus`), and
     ``sizes``, ``ids`` and ``cat_comp`` take each region's recipes in
     ``recipe_id`` order.  ``pool`` and ``counts`` come from one Spark job:
-    every batch of :func:`repro.culinarydb.corpus.batch_frame`, the layout
-    of :func:`repro.culinarydb.corpus.build_corpus`, emits its (region,
-    ingredient_id) members, sliced from a broadcast of the flat members,
-    and a ``groupBy`` counts them.  ``pool`` takes the aggregation's row
-    order, so it can change with the shuffle partitioning; the broadcast
-    is destroyed on return.
+    :func:`repro.culinarydb.corpus.corpus_frame`, the layout of
+    :func:`repro.culinarydb.corpus.build_corpus`, emits the recipes from a
+    broadcast of the flat corpus, and an ``explode`` → ``groupBy`` counts
+    their members.  ``pool`` takes the aggregation's row order, so it can
+    change with the shuffle partitioning; the broadcast is destroyed on
+    return.
     """
     corpus = flat_corpus(scale, seed)
-    specs = region_specs(scale, seed)
-    first = {s.code: s.recipe_offset for s in specs}
-    bc = spark.sparkContext.broadcast((corpus.members, corpus.offsets))
-
-    def members(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        flat, offsets = bc.value
-        for pdf in batches:
-            for code, start, count in pdf.itertuples(index=False):
-                lo = first[code] + start
-                yield pd.DataFrame({"region": code, "ingredient_id": flat[offsets[lo]:offsets[lo + count]]})
-
+    bc = spark.sparkContext.broadcast((corpus.n, corpus.members))
     try:
         usage = (
-            batch_frame(spark, specs)
-            .mapInPandas(members, "region string, ingredient_id long")
+            corpus_frame(spark, region_specs(scale, seed), bc)
+            .selectExpr("region", "explode(ingredients) AS ingredient_id")
             .groupBy("region", "ingredient_id")
             .count()
             .toPandas()

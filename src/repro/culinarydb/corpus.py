@@ -1,8 +1,7 @@
-"""Assemble the synthetic recipe corpus, on the driver or as a Spark DataFrame.
+"""Assemble the synthetic recipe corpus on the driver, and hand it to Spark.
 
-Generation is sharded into batches; each batch is deterministic in
-(region, batch start, seed), so the corpus does not depend on where or
-how often a batch is generated.
+Generation is sharded into batches of ``BATCH_SIZE`` recipes; each
+batch's random stream is keyed on (region, batch start, seed).
 
 A *coverage plan* guarantees the Table 1 unique-ingredient counts.
 ``_generate_region`` generates a region's batches once on the driver as
@@ -19,17 +18,15 @@ recipe order; recipe r's members start at ``offsets[r]``, the cumulative
 sum of ``n``) with no Spark job and no per-recipe object.  It is the
 driver's only form of the corpus: Table 1 and Figs. 2–5 read it.
 
-``batch_frame`` lays the (region, start, count) batch plan out over the
-Spark partitions.  Fig. 4's usage count
-(:func:`repro.core.randomize.region_model_inputs`) runs over it, so its
-``groupBy`` sees the rows in the order that ``build_corpus`` gives them.
-``build_corpus`` is the corpus as a Spark DataFrame, for the benchmark's
-references and the tests' Spark oracles only.  It keeps only the
-swapped recipes and defines the DataFrame lazily: one ``mapInPandas``
-pass over ``batch_frame`` generates the batches again on the executors
-and overrides the swapped recipes, so it starts no Spark job.
+``corpus_frame`` is the only way the corpus reaches Spark.  It lays the
+(region, start, count) batch plan out over the Spark partitions, and
+each batch row emits its recipes as slices of a broadcast of the flat
+corpus, so the executors generate nothing.  Fig. 4's usage count
+(:func:`repro.core.randomize.region_model_inputs`) and ``build_corpus``,
+the corpus as a Spark DataFrame for the benchmark's references and the
+tests' Spark oracles, both run over it.
 
-Schema of ``build_corpus``'s rows (``FlatCorpus`` flattens ``ingredients``)::
+Schema of ``corpus_frame``'s rows (``FlatCorpus`` flattens ``ingredients``)::
 
     recipe_id   long      globally unique
     region      string    region code (Table 1) or 'OTHER'
@@ -41,7 +38,8 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import (
     ArrayType,
@@ -84,14 +82,11 @@ def _batches(spec: RegionSpec) -> list[tuple[int, int]]:
     ]
 
 
-def _generate_region(
-    spec: RegionSpec, seed: int
-) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+def _generate_region(spec: RegionSpec, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Generate a region's batches once and bring every unused pool ingredient in.
 
-    Returns the sizes, the members of every recipe concatenated in local
-    recipe order with the coverage swaps applied, and ``{local_idx: fixed
-    ingredient ids}`` for the recipes that changed.  Raises
+    Returns the sizes and the members of every recipe concatenated in
+    local recipe order, with the coverage swaps applied.  Raises
     ``ValueError`` naming the region, the recipe and the ingredient when
     no member of the recipe can make way for it, rather than leave the
     ingredient out of the region's Table 1 count.
@@ -104,7 +99,6 @@ def _generate_region(
     inserts: dict[int, list[int]] = {}
     for k, ing in enumerate(spec.pool[~np.isin(spec.pool, used)].tolist()):
         inserts.setdefault(k % spec.n_recipes, []).append(ing)
-    fixes: dict[int, np.ndarray] = {}
     for local, new in inserts.items():
         # A view: the swaps land in ``members``.
         recipe = members[offsets[local]:offsets[local] + sizes[local]]
@@ -121,20 +115,7 @@ def _generate_region(
             # The most-used member; ties go to the larger id.
             victim = eligible[np.lexsort((recipe[eligible], member_counts[eligible]))[-1]]
             recipe[victim], member_counts[victim] = ing, 0
-        fixes[local] = recipe.copy()
-    return sizes, members, fixes
-
-
-def _frame(spec: RegionSpec, start: int, sizes: np.ndarray, recipes: list[np.ndarray]) -> pd.DataFrame:
-    """Corpus rows of a region's recipes from local index ``start`` on."""
-    return pd.DataFrame(
-        {
-            "recipe_id": spec.recipe_offset + start + np.arange(len(sizes)),
-            "region": spec.code,
-            "n": sizes.astype(np.int32),
-            "ingredients": [r.astype(np.int64) for r in recipes],
-        }
-    )
+    return sizes, members
 
 
 class FlatCorpus(NamedTuple):
@@ -160,10 +141,12 @@ class FlatCorpus(NamedTuple):
 
 
 def flat_corpus(scale: float = 1.0, seed: int = 11) -> FlatCorpus:
-    """The corpus of :func:`build_corpus` as a :class:`FlatCorpus`, in
-    ``recipe_id`` order, generated on the driver with no Spark job."""
+    """The corpus at ``scale`` (1.0 → the paper's 45,772 recipes) as a
+    :class:`FlatCorpus`, in ``recipe_id`` order, generated on the driver
+    with no Spark job.  The coverage plan makes the per-region
+    unique-ingredient counts hit the Table 1 targets exactly."""
     specs = region_specs(scale, seed)
-    sizes, members, _ = zip(*(_generate_region(spec, seed) for spec in specs))
+    sizes, members = zip(*(_generate_region(spec, seed) for spec in specs))
     counts = [len(s) for s in sizes]
     return FlatCorpus(
         recipe_id=np.concatenate([s.recipe_offset + np.arange(c) for s, c in zip(specs, counts)]),
@@ -173,37 +156,53 @@ def flat_corpus(scale: float = 1.0, seed: int = 11) -> FlatCorpus:
     )
 
 
-def batch_frame(spark: SparkSession, specs: tuple[RegionSpec, ...]) -> DataFrame:
-    """The (code, start, count) generation batches of ``specs``, one row
-    each, round-robin over ``min(batches, defaultParallelism)`` partitions.
+def corpus_frame(spark: SparkSession, specs: tuple[RegionSpec, ...], flat: Broadcast) -> DataFrame:
+    """The corpus of ``specs`` as a lazy Spark DataFrame, read from ``flat``,
+    a broadcast of the flat corpus's ``(n, members)``.
 
-    The layout fixes which task reads which batches, and in what order:
-    a job over it hands its aggregations the same row sequence whatever
-    it emits per batch.
+    The (code, start, count) generation batches are laid out one row
+    each, round-robin over ``min(batches, defaultParallelism)``
+    partitions, and one ``mapInArrow`` emits each batch's recipes as
+    slices of the broadcast arrays, with no per-recipe object.  The layout
+    fixes which task reads which batches, and in what order, so an
+    aggregation over the frame sees the same row sequence every time.
     """
     rows = [(s.code, start, count) for s in specs for start, count in _batches(s)]
-    return spark.createDataFrame(rows, _PLAN_SCHEMA).repartition(
-        max(1, min(len(rows), spark.sparkContext.defaultParallelism))
+    first = {s.code: s.recipe_offset for s in specs}
+
+    def emit(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        n, members = flat.value
+        offsets = np.r_[0, np.cumsum(n)]
+        for batch in batches:
+            for code, start, count in zip(*batch.to_pydict().values()):
+                lo = first[code] + start
+                ends = offsets[lo:lo + count + 1]
+                yield pa.RecordBatch.from_arrays(
+                    [
+                        pa.array(np.arange(lo, lo + count)),
+                        pa.repeat(code, count),
+                        pa.array(n[lo:lo + count].astype(np.int32)),
+                        pa.ListArray.from_arrays(
+                            pa.array((ends - ends[0]).astype(np.int32)), pa.array(members[ends[0]:ends[-1]])
+                        ),
+                    ],
+                    names=CORPUS_SCHEMA.names,
+                )
+
+    return (
+        spark.createDataFrame(rows, _PLAN_SCHEMA)
+        .repartition(max(1, min(len(rows), spark.sparkContext.defaultParallelism)))
+        .mapInArrow(emit, CORPUS_SCHEMA)
     )
 
 
 def build_corpus(spark: SparkSession, *, scale: float = 1.0, seed: int = 11) -> DataFrame:
-    """Build the recipe corpus at ``scale`` (1.0 → the paper's 45,772).
+    """:func:`flat_corpus` as a Spark DataFrame (:func:`corpus_frame`).
 
-    The coverage plan makes the per-region unique-ingredient counts hit
-    the Table 1 targets exactly.
+    For the benchmark's references and the tests' Spark oracles only; no
+    job calls it.  It starts no Spark job, and its broadcast lives as long
+    as the session, since the frame may be read at any time after.
     """
-    specs = region_specs(scale, seed)
-    fixes = {s.code: _generate_region(s, seed)[2] for s in specs}
-    by_code = {s.code: s for s in specs}
-
-    def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            for code, start, count in pdf.itertuples(index=False):
-                spec, start, count = by_code[code], int(start), int(count)
-                sizes, members = generate_batch(spec, start, count, seed)
-                recipes = np.split(members, np.cumsum(sizes)[:-1])
-                recipes = [fixes[code].get(start + i, r) for i, r in enumerate(recipes)]
-                yield _frame(spec, start, sizes, recipes)
-
-    return batch_frame(spark, specs).mapInPandas(gen, CORPUS_SCHEMA)
+    corpus = flat_corpus(scale, seed)
+    flat = spark.sparkContext.broadcast((corpus.n, corpus.members))
+    return corpus_frame(spark, region_specs(scale, seed), flat)

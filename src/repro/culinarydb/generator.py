@@ -10,10 +10,9 @@ an Exp(1)/w key per uniform ``u`` (Efraimidis & Spirakis, IPL 2006).
 NumPy's ``gumbel`` takes the same one draw per element and returns
 ``-log(-log(1 - u))``, so ``log w + gumbel`` ranks descending in the same
 order: these are the Gumbel top-k draws of the same stream.  A batch is
-a pure function of ``(scale, seed, region, start)``, so the driver's
-corpus (``culinarydb.corpus.flat_corpus``, which also applies the
-coverage swaps) and the executors' (``build_corpus``) are the same
-whatever the partitioning.
+a pure function of ``(scale, seed, region, start)``.  Only the driver
+generates recipes (``culinarydb.corpus.flat_corpus``, which also
+applies the coverage swaps); Spark reads them from a broadcast.
 
 Pairing-sign mechanism (Fig. 4, encoded per DESIGN.md §2):
 
@@ -163,10 +162,8 @@ def _build_pool(region: Region, region_idx: int, pool_size: int, seed: int) -> n
 
 
 @lru_cache(maxsize=8)
-def region_specs(
-    scale: float = 1.0, seed: int = 11, include_other: bool = True
-) -> tuple[RegionSpec, ...]:
-    """Resolved :class:`RegionSpec` for every region at ``scale``.
+def region_specs(scale: float = 1.0, seed: int = 11) -> tuple[RegionSpec, ...]:
+    """Resolved :class:`RegionSpec` for every region at ``scale``, then ``OTHER``.
 
     Sampling weight of pool position r is ``zipf(r) × category_boost``,
     so popular ranks dominate usage (Fig. 3b) while regional category
@@ -174,7 +171,7 @@ def region_specs(
     """
     master = ingredient_master()
     cat_by_id = master.set_index("ingredient_id")["category"]
-    regions = list(REGIONS) + ([OTHER_REGION] if include_other else [])
+    regions = [*REGIONS, OTHER_REGION]
     specs: list[RegionSpec] = []
     offset = 0
     for idx, region in enumerate(regions):
@@ -224,12 +221,10 @@ def generate_batch(
 
     Returns (sizes, members): each recipe's size, and the recipes'
     ingredient ids concatenated in recipe order, ``sizes[r]`` of them for
-    recipe r.  Deterministic in (spec.code, start, seed) so Spark
-    partitioning cannot change output.
+    recipe r.  Deterministic in (spec.code, start, seed).
     """
-    # zlib.crc32, not hash(): str hash is salted per Python process, and
-    # Spark executors are separate processes — crc32 keeps generation
-    # deterministic across any partition placement.
+    # zlib.crc32, not hash(): str hash is salted per Python process, so
+    # crc32 keeps the corpus the same in every process that generates it.
     rng = np.random.default_rng([seed, zlib.crc32(spec.code.encode()), start])
     sizes = sample_sizes(rng, count, len(spec.pool))
     top = topk_rows(rng, spec.weights, count, len(spec.pool), sizes.max())

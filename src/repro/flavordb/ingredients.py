@@ -40,6 +40,9 @@ N_BASIC = 840
 N_COMPOUND = 103
 N_INGREDIENTS = N_BASIC + N_COMPOUND
 
+#: Seed of the ingredient master; the basic flavor profiles use the next one.
+MASTER_SEED = 7
+
 #: How many of the 840 basic slots each category owns (sums to 840).
 #: Ordered so the WORLD aggregate usage (Fig. 2) has Vegetable, Spice,
 #: Dairy, Herb, Plant, Meat, Fruit among the most frequent categories.
@@ -172,15 +175,15 @@ def _pseudo_name(rng: np.random.Generator, taken: set[str]) -> str:
             return word
 
 
-@lru_cache(maxsize=4)
-def ingredient_master(seed: int = 7) -> pd.DataFrame:
-    """The full ingredient master table (943 rows), deterministic in seed.
+@lru_cache(maxsize=1)
+def ingredient_master() -> pd.DataFrame:
+    """The full ingredient master table (943 rows), from ``MASTER_SEED``.
 
     Columns: ingredient_id, name, category, community, is_compound,
     has_profile, synonyms (tuple of str), constituents (tuple of
     ingredient ids; empty for basic ingredients).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(MASTER_SEED)
     taken = {name for name, _, _ in _ANCHORS}
     taken |= {name for name, _, _ in _NAMED_COMPOUNDS}
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 import pandas as pd
 
-from repro.flavordb.ingredients import N_INGREDIENTS, ingredient_master
+from repro.flavordb.ingredients import MASTER_SEED, N_INGREDIENTS, ingredient_master
 from repro.flavordb.molecules import community_molecules, shared_pool_molecules
 
 #: Fraction of a profile drawn from the ingredient's home community.
@@ -31,16 +31,17 @@ _COMMUNITY_FRACTION = 0.8
 _MIN_PROFILE, _MAX_PROFILE = 5, 150
 
 
-@lru_cache(maxsize=4)
-def basic_profiles(seed: int = 7) -> pd.DataFrame:
+@lru_cache(maxsize=1)
+def basic_profiles() -> pd.DataFrame:
     """Long-format (ingredient_id, molecule_id) profiles for basic ingredients.
 
-    Deterministic in ``seed``; compound ingredients and profile-less
-    additives are excluded (compounds are pooled in :func:`profiles`).
+    Deterministic (seed ``MASTER_SEED + 1``); compound ingredients and
+    profile-less additives are excluded (compounds are pooled in
+    :func:`profiles`).
     """
-    master = ingredient_master(seed)
+    master = ingredient_master()
     basics = master[(~master["is_compound"]) & master["has_profile"]]
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(MASTER_SEED + 1)
     shared = shared_pool_molecules()
 
     ids: list[np.ndarray] = []

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.culinarydb.corpus import _batches, _generate_region, build_corpus, flat_corpus
+from repro.culinarydb.corpus import _batches, _generate_region, build_corpus, corpus_frame, flat_corpus
 from repro.culinarydb.generator import RegionSpec, generate_batch, region_specs
 from repro.flavordb.ingredients import N_INGREDIENTS
 from repro.oracle import assert_equivalent
 from repro.regions import REGIONS
-from tests.reference import coverage_fixes_loop
+from tests.conftest import SEED
+from tests.reference import coverage_fixes_loop, nested_corpus
 
 
 def test_recipe_counts_exact(corpus_small):
@@ -19,7 +20,7 @@ def test_recipe_counts_exact(corpus_small):
         r["region"]: r["cnt"]
         for r in corpus_small.groupBy("region").agg(F.count("*").alias("cnt")).collect()
     }
-    for s in region_specs(0.02, 11, True):
+    for s in region_specs(0.02, 11):
         assert got[s.code] == s.n_recipes
 
 
@@ -30,12 +31,12 @@ def test_unique_ingredient_coverage_exact(corpus_small, exploded_small):
         .agg(F.countDistinct("ingredient_id").alias("uniq"))
         .collect()
     }
-    for s in region_specs(0.02, 11, True):
+    for s in region_specs(0.02, 11):
         assert got[s.code] == len(s.pool)
 
 
 def test_used_ingredients_subset_of_pool(exploded_small):
-    pools = {s.code: set(s.pool.tolist()) for s in region_specs(0.02, 11, True)}
+    pools = {s.code: set(s.pool.tolist()) for s in region_specs(0.02, 11)}
     used = (
         exploded_small.groupBy("region")
         .agg(F.collect_set("ingredient_id").alias("used"))
@@ -97,8 +98,8 @@ def _raw(spec: RegionSpec, seed: int) -> tuple[np.ndarray, list[np.ndarray]]:
 
 
 def test_different_seed_differs():
-    a = _raw(region_specs(0.02, 11, True)[0], 11)[1][:20]
-    b = _raw(region_specs(0.02, 12, True)[0], 12)[1][:20]
+    a = _raw(region_specs(0.02, 11)[0], 11)[1][:20]
+    b = _raw(region_specs(0.02, 12)[0], 12)[1][:20]
     assert any(not np.array_equal(x, y) for x, y in zip(a, b))
 
 
@@ -123,10 +124,10 @@ def test_all_regions_present(corpus_small):
 
 
 def test_scale_without_coverage_smaller_unique_counts():
-    specs = region_specs(0.02, 11, True)
+    specs = region_specs(0.02, 11)
     # without the coverage fixes at least one region misses pool members
     assert any(len(np.unique(np.concatenate(_raw(s, 11)[1]))) < len(s.pool) for s in specs)
-    assert any(_generate_region(s, 11)[2] for s in specs)
+    assert any(not np.array_equal(_generate_region(s, 11)[1], np.concatenate(_raw(s, 11)[1])) for s in specs)
 
 
 def test_coverage_raises_without_a_victim():
@@ -141,14 +142,14 @@ def test_coverage_raises_without_a_victim():
 @settings(max_examples=8, derandomize=True, deadline=None)
 @given(scale=st.floats(0.01, 0.3), seed=st.integers(0, 2**16))
 def test_coverage_fixes_reach_every_pool_member(scale, seed):
-    for spec in region_specs(scale, seed, True):
+    for spec in region_specs(scale, seed):
         sizes, raw = _raw(spec, seed)
-        got_sizes, members, fixes = _generate_region(spec, seed)
+        got_sizes, members = _generate_region(spec, seed)
         assert np.array_equal(got_sizes, sizes)
         assert members.dtype == np.int64 and len(members) == sizes.sum()
         fixed = np.split(members, np.cumsum(sizes)[:-1])
-        assert {local: f.tolist() for local, f in fixes.items()} == coverage_fixes_loop(spec, raw)
-        assert all(np.array_equal(f, fixes.get(local, r)) for local, (f, r) in enumerate(zip(fixed, raw)))
+        fixes = coverage_fixes_loop(spec, raw)
+        assert [f.tolist() for f in fixed] == [fixes.get(local, r.tolist()) for local, r in enumerate(raw)]
         final = np.concatenate(fixed)
         assert np.array_equal(np.unique(final), np.sort(spec.pool))
         missing = set(spec.pool.tolist()) - set(np.concatenate(raw).tolist())
@@ -167,7 +168,7 @@ def _nested_reference(scale: float, seed: int) -> pd.DataFrame:
     """The corpus frame built one recipe at a time: the raw generation with
     the loop oracle's fixes, each recipe its own int64 array."""
     frames = []
-    for spec in region_specs(scale, seed, True):
+    for spec in region_specs(scale, seed):
         sizes, raw = _raw(spec, seed)
         fixes = coverage_fixes_loop(spec, raw)
         frames.append(pd.DataFrame({
@@ -224,3 +225,22 @@ def test_build_corpus_starts_no_spark_job(spark):
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
     assert sc.statusTracker().getJobIdsForGroup("build_corpus_call") == []
+
+
+def test_corpus_frame_emits_the_broadcast_arrays(spark, flat_small):
+    """The executors read the driver's arrays and generate nothing: over a
+    broadcast with every recipe's members reversed, the frame holds
+    exactly the reversed recipes."""
+    offsets = flat_small.offsets
+    recipe = np.repeat(np.arange(len(flat_small.n)), flat_small.n)
+    members = flat_small.members[offsets[recipe] + offsets[recipe + 1] - 1 - np.arange(len(recipe))]
+    bc = spark.sparkContext.broadcast((flat_small.n, members))
+    try:
+        got = corpus_frame(spark, region_specs(0.02, SEED), bc).toPandas()
+    finally:
+        bc.destroy()
+    got = got.sort_values("recipe_id", ignore_index=True)
+    want = nested_corpus(flat_small._replace(members=members))
+    pd.testing.assert_frame_equal(got.drop(columns="ingredients"), want.drop(columns="ingredients"), check_exact=True)
+    for a, b, original in zip(got["ingredients"], want["ingredients"], nested_corpus(flat_small)["ingredients"]):
+        assert a.dtype == np.int64 and np.array_equal(a, b) and np.array_equal(a, original[::-1])

@@ -117,7 +117,7 @@ def test_constituents_are_basic_ids(master):
 
 
 def test_deterministic_in_seed():
-    a = ingredient_master(seed=7)
-    b = ingredient_master.__wrapped__(seed=7)  # bypass cache: fresh build
+    a = ingredient_master()
+    b = ingredient_master.__wrapped__()  # bypass cache: fresh build
     assert a["name"].tolist() == b["name"].tolist()
     assert a["community"].tolist() == b["community"].tolist()

@@ -53,7 +53,7 @@ def test_majority_of_profile_from_home_community(basic, master):
 
 
 def test_deterministic(basic):
-    again = basic_profiles.__wrapped__(7)
+    again = basic_profiles.__wrapped__()
     pd.testing.assert_frame_equal(basic.reset_index(drop=True), again)
 
 

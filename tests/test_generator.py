@@ -20,7 +20,7 @@ from tests.reference import gumbel_topk_rows
 
 @pytest.fixture(scope="module")
 def specs():
-    return region_specs(0.05, 11, True)
+    return region_specs(0.05, 11)
 
 
 def test_one_spec_per_region_plus_other(specs):
@@ -193,4 +193,4 @@ def test_zipf_alpha_sane():
 
 def test_specs_cached_and_typed(specs):
     assert isinstance(specs[0], RegionSpec)
-    assert region_specs(0.05, 11, True) is specs
+    assert region_specs(0.05, 11) is specs

@@ -5,6 +5,7 @@ from collections import defaultdict
 
 import numpy as np
 import pandas as pd
+import pyspark.errors.utils
 import pytest
 
 from repro.culinarydb.generator import region_specs
@@ -89,7 +90,7 @@ def test_t1_t3_read_the_flat_corpus(monkeypatch):
     holds each region's recipes and pool."""
     _refuse_per_recipe_arrays(monkeypatch)
     table = t1_region_stats.run(None, SCALE, SEED).set_index("region")
-    specs = [s for s in region_specs(SCALE, SEED, True) if s.code != "OTHER"]
+    specs = [s for s in region_specs(SCALE, SEED) if s.code != "OTHER"]
     assert sorted(table.index) == sorted(s.code for s in specs)
     for spec in specs:
         assert table.loc[spec.code, "recipes"] == spec.n_recipes
@@ -104,6 +105,19 @@ def test_t4_run_finite_z_for_every_region_and_model(spark):
     assert table["region"].nunique() == len(table) == 23
     z = table[["z_real", "z_frequency", "z_category", "z_freq_cat"]].to_numpy(dtype=float)
     assert np.isfinite(z).all()
+
+
+def test_t4_run_calls_no_column_api(spark, monkeypatch):
+    """T4 builds its Spark plans from SQL strings, not Column objects.  In
+    PySpark 4.1 each Column-API call captures its call site, and the first
+    capture imports IPython: 541 modules, ≈26 MiB more driver RSS on the
+    fig4_zscore benchmark pass."""
+
+    def refuse(depth):
+        raise AssertionError("T4 called the Column API")
+
+    monkeypatch.setattr(pyspark.errors.utils, "_capture_call_site", refuse)
+    assert t4_food_pairing.run(spark, SCALE, SEED, n_rand=200)["region"].nunique() == 23
 
 
 @pytest.mark.parametrize(

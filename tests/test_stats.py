@@ -24,7 +24,7 @@ from repro.oracle import assert_equivalent
 
 def test_region_table_matches_specs(flat_small):
     got = region_table(flat_small).set_index("region")
-    for s in region_specs(0.02, 11, True):
+    for s in region_specs(0.02, 11):
         assert got.loc[s.code, "recipes"] == s.n_recipes
         assert got.loc[s.code, "ingredients"] == len(s.pool)
 

@@ -11,7 +11,7 @@ from repro.core.pairing import PAD_ID
 from repro.core.randomize import MODELS, REAL, batch_plan, region_model_inputs
 from repro.core import zscore
 from repro.core.zscore import _deal, food_pairing_table, merge_moments, model_moments
-from repro.regions import by_code
+from repro.regions import REGIONS, by_code
 from tests.conftest import SEED
 from tests.reference import cuisine_scores, random_recipes, recipe_scores_fast
 
@@ -40,6 +40,16 @@ def test_table_shape(table):
 def test_signs_match_paper(table, region):
     row = table[table["region"] == region].iloc[0]
     assert np.sign(row["z_real"]) == by_code(region).pairing_sign
+
+
+def test_signs_match_paper_in_most_regions(spark, inputs_mid, overlap_matrix):
+    """All 22 regions at scale 0.1 and n_rand 5,000: the real cuisine's Z
+    has the paper's sign in at least 20."""
+    table = food_pairing_table(spark, inputs_mid, overlap_matrix, n_rand=5000, seed=17)
+    signs = {r.code: r.pairing_sign for r in REGIONS}
+    scored = table[table["region"] != "OTHER"]
+    ok = (np.sign(scored["z_real"]) == scored["region"].map(signs)).sum()
+    assert ok >= 20
 
 
 def test_no_cuisine_indistinguishable_from_random(table):
