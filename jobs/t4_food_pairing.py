@@ -14,7 +14,7 @@ from pyspark.sql import SparkSession
 from repro.core.pairing import shared_matrix
 from repro.core.randomize import region_model_inputs
 from repro.core.zscore import food_pairing_table
-from repro.regions import REGIONS
+from repro.regions import PAPER_SIGNS
 
 
 def run(
@@ -25,8 +25,7 @@ def run(
 ) -> pd.DataFrame:
     inputs = region_model_inputs(spark, scale=scale, seed=seed)
     table = food_pairing_table(spark, inputs, shared_matrix(), n_rand=n_rand, seed=seed + 6)
-    signs = {r.code: r.pairing_sign for r in REGIONS}
-    table["paper_sign"] = table["region"].map(signs)
+    table["paper_sign"] = table["region"].map(PAPER_SIGNS)
     table["sign_ok"] = np.sign(table["z_real"]) == table["paper_sign"]
     return table
 

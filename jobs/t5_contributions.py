@@ -14,7 +14,7 @@ from pyspark.sql import SparkSession
 from repro.core.contribution import ingredient_contributions, top_contributors
 from repro.core.pairing import shared_matrix
 from repro.culinarydb.corpus import flat_corpus
-from repro.regions import REGIONS
+from repro.regions import PAPER_SIGNS
 
 
 def run(spark: SparkSession | None, scale: float = 1.0, seed: int = 11) -> pd.DataFrame:
@@ -30,9 +30,8 @@ def main() -> None:
 
     args = base_parser(__doc__).parse_args()
     top = run(None, args.scale, args.seed)
-    signs = {r.code: r.pairing_sign for r in REGIONS}
     top["pairing"] = top["region"].map(
-        lambda c: "positive" if signs.get(c, 1) > 0 else "negative"
+        lambda c: "positive" if PAPER_SIGNS.get(c, 1) > 0 else "negative"
     )
     for label in ("positive", "negative"):
         print(f"\n=== {label} food-pairing cuisines (Fig. 5{'a' if label=='positive' else 'b'}) ===")

@@ -1,8 +1,8 @@
 """The paper's primary contribution: food-pairing analysis of cuisines.
 
 * :mod:`repro.core.pairing` — the ingredient overlap matrix
-  |F_i ∩ F_j| and the one gather kernel over it, which scores padded
-  recipe matrices (``N_s^R``, Methodology §B);
+  |F_i ∩ F_j| and the one gather kernel over it, which scores flat
+  (sizes, members) recipes (``N_s^R``, Methodology §B);
 * :mod:`repro.core.randomize` — the four randomized-cuisine models
   (Random / Ingredient Frequency / Ingredient Category /
   Frequency + Category) and the batch plan that also carries the real

@@ -13,17 +13,16 @@ decomposition:
 
 where S_R is R's total pair overlap and T_{R,i} the overlap of pairs
 involving i, both from the gather kernel
-:func:`repro.core.pairing.padded_overlap`.  The recipes come as flat
+:func:`repro.core.pairing.flat_overlap`.  The recipes come as flat
 arrays (:func:`repro.culinarydb.corpus.flat_corpus`: per-recipe
 ``recipe_id``, ``region`` and ``n``, and every member concatenated), so
-no Spark job runs and no per-recipe object is built.  One pass on the
-driver pads the whole corpus in ``recipe_id`` order with one mask
-assignment and scores it in slices of at most
-:data:`repro.core.randomize.BATCH_SIZE` recipes, which may span regions.
-Members are keyed ``region index · PAD_ID + ingredient_id``, so one
-``np.bincount`` per statistic over the keys gives the per-(region,
-ingredient) sums, and bincounts over the recipes' region index give each
-region's recipe count and Σ score for N_s^C.
+no Spark job runs and no per-recipe object is built.  One kernel call on
+the driver scores the whole corpus in ``recipe_id`` order, every member
+at once.  Members are keyed ``region index · N_INGREDIENTS +
+ingredient_id``, so one ``np.bincount`` per statistic over the keys
+gives the per-(region, ingredient) sums, and bincounts over the
+recipes' region index give each region's recipe count and Σ score for
+N_s^C.
 """
 from __future__ import annotations
 
@@ -32,10 +31,10 @@ from functools import partial
 import numpy as np
 import pandas as pd
 
-from repro.core import randomize
-from repro.core.pairing import PAD_ID, pad_flat, padded_overlap
+from repro.core.pairing import flat_overlap
 from repro.culinarydb.corpus import FlatCorpus
-from repro.flavordb.ingredients import ingredient_master
+from repro.flavordb.ingredients import N_INGREDIENTS, ingredient_master
+from repro.regions import PAPER_SIGNS
 
 
 def ingredient_contributions(corpus: FlatCorpus, matrix: np.ndarray) -> pd.DataFrame:
@@ -50,34 +49,26 @@ def ingredient_contributions(corpus: FlatCorpus, matrix: np.ndarray) -> pd.DataF
     removing i empties the region or when N_s^C = 0.
 
     Every sum runs over the recipes in ``recipe_id`` order, so χ does
-    not depend on the order of the recipes or on the slicing.  Raises
+    not depend on the order of the recipes.  Raises
     ``ValueError`` when the members are not as many as the sizes sum to.
     """
     if len(corpus.members) != corpus.n.sum():
         raise ValueError(f"{len(corpus.members)} members for recipe sizes summing to {corpus.n.sum()}")
     corpus = corpus.take(np.argsort(corpus.recipe_id, kind="stable"))
     region, regions = pd.factorize(corpus.region, sort=True)
-    sizes = corpus.n
-    ids = pad_flat(corpus.members, sizes)
-    t = np.empty_like(ids)
-    for lo in range(0, len(sizes), randomize.BATCH_SIZE):
-        part = slice(lo, lo + randomize.BATCH_SIZE)
-        t[part] = padded_overlap(
-            ids[part], sizes[part], sizes[part], lambda row: f"recipe {corpus.recipe_id[lo + row]}", matrix
-        )
-    real = ids != PAD_ID
-    recipe = np.nonzero(real)[0]
-    pair_sum = t.sum(axis=1)  # 2 S_R
-    n = sizes.astype(np.float64)
+    t = flat_overlap(corpus.members, corpus.n, lambda row: f"recipe {corpus.recipe_id[row]}", matrix)
+    recipe = np.repeat(np.arange(len(corpus.n)), corpus.n)
+    pair_sum = np.add.reduceat(t, corpus.offsets[:-1])  # 2 S_R
+    n = corpus.n.astype(np.float64)
     score = pair_sum / (n * (n - 1))
     m = n[recipe]
-    adj = np.where(m >= 3, (pair_sum[recipe] - 2 * t[real]) / np.maximum((m - 1) * (m - 2), 1), 0.0)
-    # Keys are dense (regions × PAD_ID), so a bincount per statistic needs no sort.
-    keys = region[recipe] * PAD_ID + ids[real]
-    per_key = partial(np.bincount, keys, minlength=len(regions) * PAD_ID)
+    adj = np.where(m >= 3, (pair_sum[recipe] - 2 * t) / np.maximum((m - 1) * (m - 2), 1), 0.0)
+    # Keys are dense (regions × N_INGREDIENTS), so a bincount per statistic needs no sort.
+    keys = region[recipe] * N_INGREDIENTS + corpus.members
+    per_key = partial(np.bincount, keys, minlength=len(regions) * N_INGREDIENTS)
     n_containing = per_key()
     key = np.flatnonzero(n_containing)
-    r = key // PAD_ID
+    r = key // N_INGREDIENTS
     n_recipes, total = np.bincount(region)[r], np.bincount(region, weights=score)[r]
     ns_c = total / n_recipes
     remaining = n_recipes - np.bincount(keys[m == 2], minlength=len(n_containing))[key]
@@ -87,7 +78,7 @@ def ingredient_contributions(corpus: FlatCorpus, matrix: np.ndarray) -> pd.DataF
         chi = np.where(ns_c != 0, 100.0 * (ns_c - ns_without) / ns_c, np.nan)
     return pd.DataFrame({
         "region": regions[r],
-        "ingredient_id": key % PAD_ID,
+        "ingredient_id": key % N_INGREDIENTS,
         "n_containing": n_containing[key],
         "ns_c": ns_c,
         "ns_without": ns_without,
@@ -105,12 +96,9 @@ def top_contributors(contributions: pd.DataFrame, k: int = 3) -> pd.DataFrame:
     dropped, and equal χ rank by ``ingredient_id``.  Ingredient names are
     joined in for readability.
     """
-    from repro.regions import REGIONS
-
-    signs = {r.code: r.pairing_sign for r in REGIONS}
     pdf = contributions.dropna(subset=["chi"])
     region, ingredient, chi = (pdf[c].to_numpy() for c in ("region", "ingredient_id", "chi"))
-    pull = chi * -pdf["region"].map(signs).fillna(1).to_numpy()
+    pull = chi * -pdf["region"].map(PAPER_SIGNS).fillna(1).to_numpy()
     order = np.lexsort((ingredient, pull, region))
     # In region order, a row's rank is its distance from its region's first row.
     ranked = region[order]

@@ -11,14 +11,13 @@ One overlap matrix and one gather kernel serve every score:
 :func:`shared_matrix` builds the dense (N+1)² int32 |F_i ∩ F_j| matrix
 (≈3.6 MB) from the pooled profiles with no Spark stage: one
 ``np.bincount`` counts the molecules each ingredient pair shares.
-:func:`padded_overlap` checks a padded (recipes × max size) matrix of
-member ids and gathers each member's overlap T_{R,i}, one recipe size at
-a time, so it reads only real member pairs.  :func:`pad_flat` pads the
-generator's flat member array: χ in :mod:`repro.core.contribution` pads
-the whole corpus, and Fig. 4's model inputs (:mod:`repro.core.randomize`)
-each region's recipes.  The Fig. 4 stage of :mod:`repro.core.zscore`
-hands the kernel those padded real recipes and the generators' own
-padded matrices, so N_s^R, N_s^C, σ and χ all come from this kernel.
+:func:`flat_overlap` checks recipes in the corpus's flat layout (sizes,
+and every recipe's members concatenated) and gathers each member's
+overlap T_{R,i}, one recipe size at a time.  χ in
+:mod:`repro.core.contribution` hands it the whole corpus, and the Fig. 4
+stage of :mod:`repro.core.zscore` the real recipes and the randomized
+models' batches (:mod:`repro.core.randomize`), all in that layout, so
+N_s^R, N_s^C, σ and χ all come from this kernel.
 """
 from __future__ import annotations
 
@@ -30,7 +29,8 @@ import numpy as np
 from repro.flavordb.ingredients import N_INGREDIENTS
 from repro.flavordb.profiles import profiles, shared_matrix_numpy
 
-#: Padding slot used by the vectorized scorer; row/column is all zeros.
+#: One past the last ingredient id: the matrix's all-zero padding row and
+#: column, for padded layouts such as the benchmark's oracle.
 PAD_ID = N_INGREDIENTS
 
 
@@ -47,48 +47,42 @@ def shared_matrix() -> np.ndarray:
     return matrix
 
 
-def pad_flat(members: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """(recipes × max length) member ids: row r holds the next ``lengths[r]``
-    of the flat ``members``, then ``PAD_ID``."""
-    ids = np.full((len(lengths), lengths.max()), PAD_ID, dtype=np.int64)
-    ids[np.arange(ids.shape[1]) < lengths[:, None]] = members
-    return ids
-
-
-def padded_overlap(
-    ids: np.ndarray,
-    lengths: np.ndarray,
+def flat_overlap(
+    members: np.ndarray,
     n: np.ndarray,
     labels: Callable[[int], str],
     matrix: np.ndarray,
 ) -> np.ndarray:
-    """T_{R,i} = Σ_{j ∈ R} |F_i ∩ F_j| for a padded member matrix, as int64
-    (0 in the padding).
+    """T_{R,i} = Σ_{j ∈ R} |F_i ∩ F_j| for every member, as int64 aligned
+    with ``members``.
 
-    Row r of ``ids`` holds recipe r's ``lengths[r]`` members, then ``PAD_ID``;
-    ``n`` is each recipe's stated size.  Raises ``ValueError`` naming the
-    recipe (``labels(r)``) whose ``n`` is not its member count, or with an
-    id outside [0, N_INGREDIENTS), a repeated member or n < 2.  The rows
-    are gathered by member count, each size L reading only its L × L
-    blocks, so no padding slot is read.
+    ``members`` holds every recipe's members concatenated, recipe r's
+    ``n[r]`` of them from the offset Σ_{q<r} n[q].  Raises ``ValueError``
+    naming the recipe (``labels(r)``) where the sizes stop summing to the
+    members' count, or with an id outside [0, N_INGREDIENTS), a repeated
+    member or n < 2.  The recipes are gathered by size, each size L
+    reading only its recipes' L × L blocks.
     """
-    real = np.arange(ids.shape[1]) < lengths[:, None]
-    out_of_range = (real & ((ids < 0) | (ids >= PAD_ID))).any(axis=1)
-    ordered = np.sort(ids, axis=1)
-    repeated = ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] != PAD_ID)).any(axis=1)
-    for bad, what in (
-        (n != lengths, "n differs from the number of ingredients"),
-        (out_of_range, f"ingredient id outside [0, {PAD_ID})"),
-        (repeated, "duplicate ingredient"),
-        (n < 2, "fewer than 2 ingredients"),
-    ):
+    ends = np.cumsum(n)
+    if len(members) != n.sum():
+        r = min(int(np.searchsorted(ends, len(members), side="right")), len(n) - 1)
+        raise ValueError(f"{labels(r)}: {len(members)} members for recipe sizes summing to {n.sum()}")
+    out_of_range = (members < 0) | (members >= N_INGREDIENTS)
+    if out_of_range.any():
+        r = int(np.searchsorted(ends, out_of_range.argmax(), side="right"))
+        raise ValueError(f"{labels(r)}: ingredient id outside [0, {N_INGREDIENTS})")
+    # One gather per recipe size reads the L × L block of each recipe's
+    # members; the zero diagonal drops each member's pair with itself.
+    t = np.empty(len(members), dtype=np.int64)
+    repeated = np.zeros(len(n), dtype=bool)
+    for size in np.unique(n):
+        rows = np.flatnonzero(n == size)
+        at = (ends[rows] - size)[:, None] + np.arange(size)
+        block = members[at]
+        ordered = np.sort(block, axis=1)
+        repeated[rows] = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        t[at] = matrix[block[:, :, None], block[:, None, :]].sum(axis=2)
+    for bad, what in ((repeated, "duplicate ingredient"), (n < 2, "fewer than 2 ingredients")):
         if bad.any():
             raise ValueError(f"{labels(int(bad.argmax()))}: {what}")
-    # One gather per recipe size reads only the L × L block of real
-    # members; the zero diagonal drops each member's pair with itself.
-    t = np.zeros(ids.shape, dtype=np.int64)
-    for size in np.unique(lengths):
-        rows = np.flatnonzero(lengths == size)
-        sub = ids[rows, :size]
-        t[rows, :size] = matrix[sub[:, :, None], sub[:, None, :]].sum(axis=2)
     return t

@@ -19,9 +19,10 @@ draw with the corpus's sampler,
 :func:`repro.culinarydb.generator.topk_rows`: the Gumbel top-k orders of
 the same uniform draws, ranked as Exp(1)/frequency keys (Efraimidis &
 Spirakis, IPL 2006), or as the draws themselves when uniform.  Each
-batch is a (count × max size) member matrix padded with ``PAD_ID``, the
-layout :func:`repro.core.pairing.padded_overlap` scores, and depends
-on (seed, region, model, batch start) and the inputs alone.
+batch is flat like the corpus (each recipe's size, and the members of
+every recipe concatenated), the layout
+:func:`repro.core.pairing.flat_overlap` scores, and depends on (seed,
+region, model, batch start) and the inputs alone.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 from pyspark.sql import SparkSession
 
-from repro.core.pairing import PAD_ID, pad_flat
 from repro.culinarydb.corpus import corpus_frame, flat_corpus
 from repro.culinarydb.generator import region_specs, topk_rows
 from repro.flavordb.ingredients import CATEGORIES, ingredient_master
@@ -50,16 +50,17 @@ BATCH_SIZE = 5000
 class RegionInputs:
     """Everything a model needs about one cuisine, all NumPy.
 
-    ``pool``/``counts``/``cat_idx`` are aligned; ``sizes``, ``ids`` and
-    ``cat_comp`` have one row per real recipe: its stated size ``n``, its
-    members padded with ``PAD_ID``, and its (× 21) category composition.
+    ``pool``/``counts``/``cat_idx`` are aligned; ``sizes`` and
+    ``cat_comp`` have one row per real recipe: its size ``n`` and its
+    (× 21) category composition, and ``members`` holds every real
+    recipe's members concatenated in the same order.
     """
 
     code: str
     pool: np.ndarray
     counts: np.ndarray
     sizes: np.ndarray
-    ids: np.ndarray
+    members: np.ndarray
     cat_idx: np.ndarray
     cat_comp: np.ndarray
 
@@ -70,7 +71,7 @@ def region_model_inputs(
     """Per-region model inputs of the corpus at ``scale`` and ``seed``.
 
     The corpus is generated once on the driver (:func:`flat_corpus`), and
-    ``sizes``, ``ids`` and ``cat_comp`` take each region's recipes in
+    ``sizes``, ``members`` and ``cat_comp`` take each region's recipes in
     ``recipe_id`` order.  ``pool`` and ``counts`` come from one Spark job:
     :func:`repro.culinarydb.corpus.corpus_frame`, the layout of
     :func:`repro.culinarydb.corpus.build_corpus`, emits the recipes from a
@@ -111,17 +112,11 @@ def region_model_inputs(
             pool=pool,
             counts=g["count"].to_numpy().astype(np.float64),
             sizes=rc.n,
-            ids=pad_flat(rc.members, rc.n),
+            members=rc.members,
             cat_idx=cat_arr[pool],
             cat_comp=comp.astype(np.int16),
         )
     return out
-
-
-def _beyond_size(ids: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``ids`` with every slot at or past its row's size set to ``PAD_ID``."""
-    ids[np.arange(ids.shape[1]) >= sizes[:, None]] = PAD_ID
-    return ids
 
 
 def _uniform_or_freq_batch(
@@ -129,12 +124,11 @@ def _uniform_or_freq_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`random` / `frequency` model: one top-k draw over the pool per recipe.
 
-    Returns ``(sizes, ids)``: ids is (count × max size), each row's
-    members in key order, then ``PAD_ID``.
+    Returns ``(sizes, members)``, each recipe's members in key order.
     """
     sizes = rng.choice(inp.sizes, size=count)
     order = topk_rows(rng, inp.counts if weighted else None, count, len(inp.pool), sizes.max())
-    return sizes, _beyond_size(inp.pool[order], sizes)
+    return sizes, inp.pool[order][np.arange(order.shape[1]) < sizes[:, None]]
 
 
 def _category_batch(
@@ -142,13 +136,13 @@ def _category_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """`category` / `freq_cat` model: preserve a real recipe's composition.
 
-    Returns ``(sizes, ids)`` like :func:`_uniform_or_freq_batch`, each
-    row's members grouped by category in category order.
+    Returns ``(sizes, members)`` like :func:`_uniform_or_freq_batch`,
+    each recipe's members grouped by category in category order.
     """
     templates = rng.integers(0, len(inp.cat_comp), size=count)
     comp = inp.cat_comp[templates]  # (count, 21)
     sizes = comp.sum(axis=1).astype(np.int64)
-    blocks = []
+    picks, owners = [], []
     for c in range(comp.shape[1]):
         k_vec = comp[:, c]
         rows = np.nonzero(k_vec)[0]
@@ -159,14 +153,10 @@ def _category_batch(
         order = topk_rows(
             rng, inp.counts[members] if weighted else None, len(rows), len(members), k.max()
         )
-        block = np.full((count, k.max()), PAD_ID, dtype=np.int64)
-        block[rows] = _beyond_size(inp.pool[members[order]], k)
-        blocks.append(block)
-    ids = np.concatenate(blocks, axis=1)
-    # A stable sort on "is padding" moves each row's members to its front
-    # and keeps their category order.
-    ids = np.take_along_axis(ids, np.argsort(ids == PAD_ID, axis=1, kind="stable"), axis=1)
-    return sizes, ids[:, : sizes.max()]
+        picks.append(inp.pool[members[order[np.arange(order.shape[1]) < k[:, None]]]])
+        owners.append(np.repeat(rows, k))
+    # A stable sort by recipe keeps each recipe's picks in category order.
+    return sizes, np.concatenate(picks)[np.argsort(np.concatenate(owners), kind="stable")]
 
 
 def model_batch(
@@ -174,13 +164,14 @@ def model_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recipes ``start`` to ``start + count`` of ``model`` for one cuisine.
 
-    Returns ``(sizes, ids)``, ids (count × max size) padded with
-    ``PAD_ID``.  For ``REAL`` these are the cuisine's own recipes.  The
-    random stream is keyed on (seed, region, model, start) alone, so a
-    batch is the same whichever task draws it.
+    Returns ``(sizes, members)``, every recipe's members concatenated.
+    For ``REAL`` these are the cuisine's own recipes.  The random stream
+    is keyed on (seed, region, model, start) alone, so a batch is the
+    same whichever task draws it.
     """
     if model == REAL:
-        return inp.sizes[start:start + count], inp.ids[start:start + count]
+        lo, hi = inp.sizes[:start].sum(), inp.sizes[:start + count].sum()
+        return inp.sizes[start:start + count], inp.members[lo:hi]
     rng = np.random.default_rng(
         [seed, zlib.crc32(inp.code.encode()), zlib.crc32(model.encode()), start]
     )

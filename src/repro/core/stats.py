@@ -2,8 +2,9 @@
 
 Every function takes the flat driver corpus of
 :func:`repro.culinarydb.corpus.flat_corpus`, repeats each recipe's
-``recipe_id`` and ``region`` over its members where it counts members,
-and aggregates in pandas, so no statistic starts a Spark job.
+``recipe_id`` and integer region code over its members where it counts
+members, aggregates in pandas and names the region codes after the
+group-by, so no statistic starts a Spark job.
 """
 from __future__ import annotations
 
@@ -21,14 +22,21 @@ def _recipes(corpus: FlatCorpus) -> pd.DataFrame:
 
 
 def _members(corpus: FlatCorpus) -> pd.DataFrame:
-    """Long format: one (recipe_id, region, ingredient_id) row per member."""
+    """Long format: one (recipe_id, region, ingredient_id) row per member,
+    ``region`` as its integer code; :func:`_decoded` names the codes."""
+    codes, _ = pd.factorize(corpus.region, sort=True)
     return pd.DataFrame(
         {
             "recipe_id": np.repeat(corpus.recipe_id, corpus.n),
-            "region": np.repeat(corpus.region, corpus.n),
+            "region": np.repeat(codes, corpus.n),
             "ingredient_id": corpus.members,
         }
     )
+
+
+def _decoded(df: pd.DataFrame, corpus: FlatCorpus) -> pd.DataFrame:
+    """``df`` with the region codes of :func:`_members` replaced by their names."""
+    return df.assign(region=pd.factorize(corpus.region, sort=True)[1][df["region"].to_numpy()])
 
 
 def _usage(corpus: FlatCorpus) -> pd.DataFrame:
@@ -43,9 +51,10 @@ def _counts(df: pd.DataFrame, keys: list[str]) -> pd.DataFrame:
 
 def region_table(corpus: FlatCorpus) -> pd.DataFrame:
     """Measured Table 1: recipes and unique ingredients per region."""
-    return _members(corpus).groupby("region", as_index=False).agg(
+    table = _members(corpus).groupby("region", as_index=False).agg(
         recipes=("recipe_id", "nunique"), ingredients=("ingredient_id", "nunique")
     )
+    return _decoded(table, corpus)
 
 
 def region_table_vs_paper(corpus: FlatCorpus) -> pd.DataFrame:
@@ -63,7 +72,7 @@ def category_shares(corpus: FlatCorpus) -> pd.DataFrame:
     A usage is one (recipe, ingredient) occurrence; shares sum to 1 per
     region.  The ingredient master gives the category.
     """
-    counts = _counts(_usage(corpus), ["region", "category"])
+    counts = _decoded(_counts(_usage(corpus), ["region", "category"]), corpus)
     counts["share"] = counts["count"] / counts.groupby("region")["count"].transform("sum")
     return counts
 
@@ -113,4 +122,4 @@ def rank_frequency(corpus: FlatCorpus) -> pd.DataFrame:
     ranked["rank"] = ranked.groupby("region").cumcount() + 1
     ranked["rel_freq"] = ranked["count"] / per_region.transform("max")
     ranked["rel_rank"] = ranked["rank"] / per_region.transform("size")
-    return ranked[["region", "ingredient_id", "rank", "count", "rel_freq", "rel_rank"]]
+    return _decoded(ranked[["region", "ingredient_id", "rank", "count", "rel_freq", "rel_rank"]], corpus)

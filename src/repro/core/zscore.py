@@ -11,7 +11,8 @@ deviation: a model whose Z matches the real cuisine's Z explains the
 pattern; one near 0 does not.  The real cuisines and all four models
 are scored in one fused stage, :func:`model_moments`, from the model
 inputs of :func:`repro.core.randomize.region_model_inputs`; no corpus
-DataFrame is built.
+DataFrame is built, and every batch, real or random, reaches the kernel
+in the corpus's flat (sizes, members) layout.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.pairing import PAD_ID, padded_overlap
+from repro.core.pairing import flat_overlap
 from repro.core.randomize import (
     MODELS,
     REAL,
@@ -51,9 +52,9 @@ def model_moments(
     round-robin to one slot per core.  One ``mapInPandas`` over a
     ``range`` of one row per slot (one wave of tasks, no shuffle) takes
     each batch from :func:`repro.core.randomize.model_batch`, scores it
-    with :func:`repro.core.pairing.padded_overlap` (member counts read
-    from the padded matrix, so a recipe whose ``n`` differs fails its
-    checks) and emits only its (count, mean, M2).  :func:`merge_moments`
+    with :func:`repro.core.pairing.flat_overlap` (so sizes that do not sum
+    to the members fail its checks), sums T per recipe and emits only its
+    (count, mean, M2).  :func:`merge_moments`
     combines the batches on the driver; the broadcasts are destroyed.
     """
     dealt = _deal(plan, spark.sparkContext.defaultParallelism)
@@ -64,12 +65,11 @@ def model_moments(
         inps, s = bc_inputs.value, bc_matrix.value
         rows = []
         for code, model, start, count in (b for pdf in slots for k in pdf["id"] for b in dealt[k]):
-            sizes, ids = model_batch(inps[code], model, start, count, seed)
-            t = padded_overlap(
-                ids, (ids != PAD_ID).sum(axis=1), sizes,
-                lambda row: f"region {code}, model {model}, recipe {start + row}", s,
+            sizes, members = model_batch(inps[code], model, start, count, seed)
+            t = flat_overlap(
+                members, sizes, lambda row: f"region {code}, model {model}, recipe {start + row}", s
             )
-            score = t.sum(axis=1) / (sizes * (sizes - 1.0))
+            score = np.add.reduceat(t, np.cumsum(sizes) - sizes) / (sizes * (sizes - 1.0))
             mean = score.mean()
             rows.append((code, model, start, count, mean, ((score - mean) ** 2).sum()))
         yield pd.DataFrame(rows, columns=["region", "model", "start", "count", "mean", "m2"])

@@ -93,6 +93,9 @@ TOTAL_RECIPES = 45772
 #: Recipes used only in the WORLD aggregate (Materials §A).
 EXTRA_WORLD_RECIPES = 207
 
+#: Fig. 4's sign per region code: +1 uniform, −1 contrasting food pairing.
+PAPER_SIGNS = {r.code: r.pairing_sign for r in REGIONS}
+
 #: Region codes with positive (uniform) food pairing per Fig. 4.
 POSITIVE_REGIONS = tuple(r.code for r in REGIONS if r.pairing_sign > 0)
 

@@ -2,9 +2,8 @@
 
 Everything session-scoped and deterministic so the whole suite pays the
 Spark build cost once.  ``corpus_small`` (scale 0.02, ~1k recipes) backs
-unit/oracle tests; ``corpus_mid`` (scale 0.1) backs the model-inputs
-order contract.  ``inputs_small`` and ``inputs_mid`` are Fig. 4's model
-inputs at those scales.  ``flat_small`` and ``flat_full`` are
+unit/oracle tests.  ``inputs_small`` and ``inputs_mid`` are Fig. 4's
+model inputs at scales 0.02 and 0.1.  ``flat_small`` and ``flat_full`` are
 the same corpus at scale 0.02 and at the paper's size as the driver's
 flat arrays, generated with no Spark job; ``recipes_small`` is
 ``flat_small`` as a pandas frame, one array per recipe, and
@@ -56,14 +55,6 @@ def corpus_small(spark):
 @pytest.fixture(scope="session")
 def exploded_small(corpus_small):
     df = explode_corpus(corpus_small).persist()
-    df.count()
-    yield df
-    df.unpersist()
-
-
-@pytest.fixture(scope="session")
-def corpus_mid(spark):
-    df = build_corpus(spark, scale=0.1, seed=SEED).persist()
     df.count()
     yield df
     df.unpersist()

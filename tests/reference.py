@@ -1,16 +1,16 @@
 """Catalyst join forms of the overlap table and of N_s^R, per-recipe
-DataFrame forms of N_s^R, N_s^C and the random recipes, the corpus
-DataFrame form of Fig. 4's model inputs, the loop forms of the
-randomized-cuisine generators and of the corpus coverage swaps, the
-Gumbel form of the top-k sampler, the pandas form of the
+DataFrame forms of N_s^R, N_s^C and the random recipes, the loop forms
+of the randomized-cuisine generators and of the corpus coverage swaps,
+the Gumbel form of the top-k sampler, the pandas form of the
 compound-profile pooling, and the nested (one array per recipe) frame of
-the flat driver corpus with its exploded and padded forms.
+the flat driver corpus with its exploded form.
 
 Reference implementations only: the package builds the overlap matrix
 with :func:`repro.flavordb.profiles.shared_matrix_numpy` and scores
-padded recipe matrices with :func:`repro.core.pairing.padded_overlap`,
-in one Spark pass per figure.  The tests check these joins against the
-DuckDB oracle and the package against them.
+recipes in the flat corpus layout (sizes, and every recipe's members
+concatenated) with :func:`repro.core.pairing.flat_overlap`, in one pass
+per figure.  The tests check these joins against the DuckDB oracle and
+the package against them.
 """
 from __future__ import annotations
 
@@ -24,11 +24,11 @@ from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import ArrayType, DoubleType, IntegerType, LongType, StringType, StructField, StructType
 
-from repro.core.pairing import PAD_ID, pad_flat, padded_overlap
+from repro.core.pairing import flat_overlap
 from repro.core.randomize import RegionInputs, batch_plan, model_batch
 from repro.culinarydb.corpus import FlatCorpus
 from repro.culinarydb.generator import RegionSpec
-from repro.flavordb.ingredients import CATEGORIES, ingredient_master
+from repro.flavordb.ingredients import ingredient_master
 from repro.flavordb.profiles import basic_profiles
 
 RANDOM_SCHEMA = StructType(
@@ -46,55 +46,6 @@ def explode_corpus(recipes: DataFrame) -> DataFrame:
     return recipes.select(
         "recipe_id", "region", "n", F.explode("ingredients").alias("ingredient_id")
     )
-
-
-def pad_members(ingredients: pd.Series) -> tuple[np.ndarray, np.ndarray]:
-    """(recipes × max size) member ids, each row's members then ``PAD_ID``,
-    and each recipe's member count."""
-    lengths = ingredients.map(len).to_numpy()
-    return pad_flat(np.concatenate(ingredients.to_list()), lengths), lengths
-
-
-def region_model_inputs_frame(spark: SparkSession, corpus: DataFrame) -> dict[str, RegionInputs]:
-    """Corpus DataFrame form of :func:`repro.core.randomize.region_model_inputs`.
-
-    Usage counts come from an explode + groupBy of ``corpus``; the rest
-    is built from its collected recipes.  ``pool`` takes the groupBy's
-    row order and ``sizes`` the collect order.
-    """
-    usage = (
-        explode_corpus(corpus)
-        .groupBy("region", "ingredient_id")
-        .count()
-        .toPandas()
-    )
-    recipes = corpus.select("region", "n", "ingredients").toPandas()
-    master = ingredient_master()
-    cat_of = master.set_index("ingredient_id")["category"].map(
-        {c: k for k, c in enumerate(CATEGORIES)}
-    )
-    cat_arr = np.zeros(len(master) + 1, dtype=np.int64)
-    cat_arr[master["ingredient_id"].to_numpy()] = cat_of.to_numpy()
-
-    out: dict[str, RegionInputs] = {}
-    for region, g in usage.groupby("region"):
-        pool = g["ingredient_id"].to_numpy()
-        counts = g["count"].to_numpy().astype(np.float64)
-        rg = recipes[recipes["region"] == region]
-        ids, _ = pad_members(rg["ingredients"])
-        rows, slots = np.nonzero(ids != PAD_ID)
-        comp = np.zeros((len(rg), len(CATEGORIES)), dtype=np.int16)
-        np.add.at(comp, (rows, cat_arr[ids[rows, slots]]), 1)
-        out[region] = RegionInputs(
-            code=region,
-            pool=pool,
-            counts=counts,
-            sizes=rg["n"].to_numpy().astype(np.int64),
-            ids=ids,
-            cat_idx=cat_arr[pool],
-            cat_comp=comp,
-        )
-    return out
 
 
 def shared_pairs(profiles: DataFrame) -> DataFrame:
@@ -208,10 +159,10 @@ def recipe_scores_fast(recipes: DataFrame, matrix: np.ndarray) -> DataFrame:
         for pdf in batches:
             if len(pdf) == 0:
                 continue
-            ids, lengths = pad_members(pdf["ingredients"])
+            members = np.concatenate(pdf["ingredients"].to_list())
             sizes, recipe_ids = pdf["n"].to_numpy(), pdf["recipe_id"].to_numpy()
-            t = padded_overlap(ids, lengths, sizes, lambda row: f"recipe {recipe_ids[row]}", s)
-            yield pdf.assign(score=t.sum(axis=1) / (sizes * (sizes - 1.0)))
+            t = flat_overlap(members, sizes, lambda row: f"recipe {recipe_ids[row]}", s)
+            yield pdf.assign(score=np.add.reduceat(t, np.cumsum(sizes) - sizes) / (sizes * (sizes - 1.0)))
 
     return _release_after_run(recipes.mapInPandas(run, out_schema), bc)
 
@@ -250,13 +201,13 @@ def random_recipes(
         inps = bc.value
         for pdf in batches:
             for code, _, start, count in pdf.itertuples(index=False):
-                sizes, ids = model_batch(inps[code], model, start, count, seed)
+                sizes, members = model_batch(inps[code], model, start, count, seed)
                 yield pd.DataFrame(
                     {
                         "recipe_id": first_id[code] + start + np.arange(count),
                         "region": code,
                         "n": sizes.astype(np.int32),
-                        "ingredients": [row[:size] for row, size in zip(ids, sizes)],
+                        "ingredients": np.split(members, np.cumsum(sizes)[:-1]),
                     }
                 )
 

@@ -4,7 +4,6 @@ import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
-from repro.core import randomize
 from repro.core.contribution import ingredient_contributions, top_contributors
 from repro.culinarydb.corpus import FlatCorpus, flat_corpus
 from repro.flavordb.profiles import shared_matrix_numpy
@@ -121,21 +120,15 @@ def test_chi_sums_are_finite(contrib):
     assert np.isfinite(contrib["chi"].dropna()).all()
 
 
-def test_chi_independent_of_slices_and_partitions(contrib_input, contrib, overlap_matrix, monkeypatch):
-    """Slices of 16 recipes cut every region (each has at least 30 recipes)
-    and one slice spans the KOR/SAM boundary; they give the default
-    slicing's χ bit for bit, since every sum runs over the recipes in
-    ``recipe_id`` order.  The same rows in two different orders give an
-    identical frame."""
-    monkeypatch.setattr(randomize, "BATCH_SIZE", 16)
-    sliced = ingredient_contributions(contrib_input, overlap_matrix)
-    pd.testing.assert_frame_equal(sliced, contrib, check_exact=True)
+def test_chi_independent_of_recipe_order(contrib_input, contrib, overlap_matrix):
+    """The same rows in two different orders give the frame of the
+    ``recipe_id``-ordered corpus bit for bit, since every sum runs over
+    the recipes in ``recipe_id`` order."""
     first, second = (np.random.default_rng(s).permutation(len(contrib_input.n)) for s in (1, 2))
-    pd.testing.assert_frame_equal(
-        ingredient_contributions(contrib_input.take(first), overlap_matrix),
-        ingredient_contributions(contrib_input.take(second), overlap_matrix),
-        check_exact=True,
-    )
+    for order in (first, second):
+        pd.testing.assert_frame_equal(
+            ingredient_contributions(contrib_input.take(order), overlap_matrix), contrib, check_exact=True
+        )
 
 
 def test_chi_with_interleaved_regions_matches_brute_force():

@@ -9,10 +9,10 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.pairing import padded_overlap
+from repro.core.pairing import flat_overlap
 from repro.core.randomize import REAL, batch_plan
 from repro.core.zscore import model_moments
-from tests.reference import cuisine_scores, pad_members, recipe_scores_fast, recipe_scores_join
+from tests.reference import cuisine_scores, recipe_scores_fast, recipe_scores_join
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +34,8 @@ def test_pairing_scores_identical_through_aliasing(rebuilt, recipes_small, overl
     n = recipes_small["n"].to_numpy()
 
     def scores(ingredients: pd.Series) -> np.ndarray:
-        ids, lengths = pad_members(ingredients)
-        t = padded_overlap(ids, lengths, n, lambda row: f"recipe {row}", overlap_matrix)
-        return t.sum(axis=1) / (n * (n - 1.0))
+        t = flat_overlap(np.concatenate(ingredients.to_list()), n, lambda row: f"recipe {row}", overlap_matrix)
+        return np.add.reduceat(t, np.cumsum(n) - n) / (n * (n - 1.0))
 
     np.testing.assert_array_equal(scores(rebuilt), scores(recipes_small["ingredients"]))
 

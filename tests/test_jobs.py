@@ -71,7 +71,7 @@ def _refuse_per_recipe_arrays(monkeypatch) -> None:
         monkeypatch.setattr(frame, "explode", _refuse)
 
 
-def test_t5_run_pads_the_flat_corpus(monkeypatch, overlap_matrix, recipes_small):
+def test_t5_run_scores_the_flat_corpus(monkeypatch, overlap_matrix, recipes_small):
     """T5 takes χ from the generator's flat arrays: with ``np.split`` and
     every ``explode`` raising, it builds no per-recipe array and still
     gives the pair decomposition's top-3."""

@@ -4,10 +4,10 @@ import pandas as pd
 import pyspark.sql.functions as F
 import pytest
 
-from repro.core.pairing import PAD_ID, padded_overlap, shared_matrix
+from repro.core.pairing import PAD_ID, flat_overlap, shared_matrix
 from repro.flavordb.profiles import shared_matrix_numpy
 from repro.oracle import assert_equivalent
-from tests.reference import cuisine_scores, pad_members, recipe_scores_fast, recipe_scores_join, shared_pairs
+from tests.reference import cuisine_scores, recipe_scores_fast, recipe_scores_join, shared_pairs
 
 # --- hand-built micro fixture: 3 ingredients, known overlaps -------------
 # F_0 = {0,1,2}, F_1 = {1,2,3}, F_2 = {9}
@@ -181,24 +181,27 @@ def test_cuisine_scores_match_oracle(corpus_small, overlap_matrix):
     )
 
 
-# --- member overlap (pad_members + padded_overlap) input checks: one bad row each
-def _kernel_overlap(bad_ingredients, bad_n=None):
-    """Padded ids and T_{R,i} of recipes 5, 6 and a bad recipe 7."""
-    ingredients = pd.Series([[0, 1, 2], [1, 2], bad_ingredients])
-    n = np.array([3, 2, len(bad_ingredients) if bad_n is None else bad_n])
-    ids, lengths = pad_members(ingredients)
-    return ids, padded_overlap(ids, lengths, n, lambda row: f"recipe {5 + row}", _micro_matrix())
+# --- member overlap (flat_overlap) input checks: one bad recipe each
+def _kernel_overlap(bad_members, bad_n=None):
+    """T_{R,i} of recipes 5 = {0, 1, 2}, 6 = {1, 2} and a bad recipe 7, flat."""
+    members = np.array([0, 1, 2, 1, 2, *bad_members])
+    n = np.array([3, 2, len(bad_members) if bad_n is None else bad_n])
+    return flat_overlap(members, n, lambda row: f"recipe {5 + row}", _micro_matrix())
 
 
 def test_member_overlap_values():
-    ids, t = _kernel_overlap([0, 1])
-    assert ids.tolist() == [[0, 1, 2], [1, 2, PAD_ID], [0, 1, PAD_ID]]
-    assert t.tolist() == [[2, 2, 0], [0, 0, 0], [2, 2, 0]]
+    t = _kernel_overlap([0, 1])
+    assert t.dtype == np.int64
+    assert t.tolist() == [2, 2, 0, 0, 0, 2, 2]
 
 
 def test_member_overlap_rejects_wrong_n():
-    with pytest.raises(ValueError, match="recipe 7: n differs"):
+    """Sizes that do not sum to the member count name the recipe where
+    they part: the first that runs past the members, or the last."""
+    with pytest.raises(ValueError, match="recipe 7: 7 members for recipe sizes summing to 8"):
         _kernel_overlap([0, 1], bad_n=3)
+    with pytest.raises(ValueError, match="recipe 7: 7 members for recipe sizes summing to 6"):
+        _kernel_overlap([0, 1], bad_n=1)
 
 
 @pytest.mark.parametrize("bad_id", [-1, PAD_ID, PAD_ID + 5])
@@ -227,13 +230,10 @@ def test_member_overlap_rejects_single_ingredient():
     ],
     ids=["every size 2-25, shuffled", "one size", "one row"],
 )
-def test_padded_overlap_equals_brute_force(sizes, overlap_matrix):
+def test_flat_overlap_equals_brute_force(sizes, overlap_matrix):
     rng = np.random.default_rng(len(sizes))
-    ingredients = pd.Series([rng.choice(PAD_ID, size, replace=False) for size in sizes])
-    ids, lengths = pad_members(ingredients)
-    t = padded_overlap(ids, lengths, sizes, str, overlap_matrix)
-    assert t.dtype == np.int64 and t.shape == ids.shape
-    for row, members in enumerate(ingredients):
-        size = len(members)
-        assert np.array_equal(t[row, :size], overlap_matrix[np.ix_(members, members)].sum(axis=1))
-        assert (t[row, size:] == 0).all()
+    recipes = [rng.choice(PAD_ID, size, replace=False) for size in sizes]
+    t = flat_overlap(np.concatenate(recipes), sizes, str, overlap_matrix)
+    assert t.dtype == np.int64
+    want = np.concatenate([overlap_matrix[np.ix_(members, members)].sum(axis=1) for members in recipes])
+    assert np.array_equal(t, want)

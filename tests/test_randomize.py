@@ -3,15 +3,14 @@ import numpy as np
 import pyspark.sql.functions as F
 import pytest
 
-from repro.core.pairing import PAD_ID
 from repro.core.randomize import MODELS, model_batch, region_model_inputs
+from repro.culinarydb.corpus import flat_corpus
 from repro.flavordb.ingredients import CATEGORIES, ingredient_master
 from tests.conftest import SEED
-from tests.reference import model_batch_loop, random_recipes, region_model_inputs_frame
+from tests.reference import model_batch_loop, random_recipes
 
 N_RAND = 800
 REGION_SUBSET = ("ITA", "KOR")
-INPUT_FIELDS = ("pool", "counts", "sizes", "ids", "cat_idx", "cat_comp")
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +27,7 @@ def model_output(request, spark, inputs):
 
 
 def test_inputs_cover_regions(inputs, recipes_small):
-    """Each region's real recipes, padded, in ``recipe_id`` order."""
+    """Each region's real recipes, flat, in ``recipe_id`` order."""
     assert set(inputs) == set(REGION_SUBSET)
     recipes = recipes_small
     cat_of = ingredient_master().set_index("ingredient_id")["category"].map(
@@ -40,25 +39,35 @@ def test_inputs_cover_regions(inputs, recipes_small):
         # category composition row sums equal recipe sizes
         assert np.array_equal(inp.cat_comp.sum(axis=1), inp.sizes)
         collected = recipes.loc[recipes["region"] == code, "ingredients"]
-        assert len(inp.ids) == len(collected)
-        for row, comp, ing in zip(inp.ids, inp.cat_comp, collected):
-            assert row.tolist() == list(ing) + [PAD_ID] * (len(row) - len(ing))
+        assert len(inp.sizes) == len(collected)
+        assert inp.members.tolist() == np.concatenate(collected.to_list()).tolist()
+        for comp, ing in zip(inp.cat_comp, collected):
             assert comp.tolist() == np.bincount(cat_of.loc[ing], minlength=len(CATEGORIES)).tolist()
 
 
-@pytest.mark.parametrize("corpus", ["corpus_small", "corpus_mid"])
-def test_model_inputs_equal_the_corpus_frame_form(request, spark, corpus):
-    """The order contract: every field of every region equals, in order,
-    the explode + groupBy + collect over ``build_corpus``'s DataFrame, so
-    the Fig. 4 draws, which index into ``pool`` and ``sizes``, are the
-    ones that form gave."""
-    df = request.getfixturevalue(corpus)
-    got = request.getfixturevalue(corpus.replace("corpus", "inputs"))
-    ref = region_model_inputs_frame(spark, df)
-    assert list(got) == list(ref)
-    for code, inp in ref.items():
-        for field in INPUT_FIELDS:
-            want, have = getattr(inp, field), getattr(got[code], field)
+@pytest.mark.parametrize("inputs, scale", [("inputs_small", 0.02), ("inputs_mid", 0.1)], ids=["small", "mid"])
+def test_model_inputs_follow_the_flat_corpus(request, inputs, scale):
+    """The order contract, region by region against the flat corpus:
+    ``pool`` holds the region's distinct members and ``counts`` their
+    occurrences, and ``sizes``, ``members`` and ``cat_comp`` are its
+    recipes in ``recipe_id`` order, so the Fig. 4 draws, which index into
+    them, read the corpus's own data."""
+    got = request.getfixturevalue(inputs)
+    corpus = flat_corpus(scale, SEED)
+    cat_of = ingredient_master().set_index("ingredient_id")["category"].map(
+        {c: k for k, c in enumerate(CATEGORIES)}
+    )
+    assert list(got) == sorted(set(corpus.region))
+    for code, inp in got.items():
+        rc = corpus.take(corpus.region == code)
+        used, uses = np.unique(rc.members, return_counts=True)
+        assert np.array_equal(np.sort(inp.pool), used), code
+        assert np.array_equal(inp.counts, uses[np.searchsorted(used, inp.pool)]), code
+        assert np.array_equal(inp.cat_idx, cat_of.loc[inp.pool]), code
+        comp = np.zeros((len(rc.n), len(CATEGORIES)), dtype=np.int16)
+        np.add.at(comp, (np.repeat(np.arange(len(rc.n)), rc.n), cat_of.loc[rc.members].to_numpy()), 1)
+        for field, want in (("sizes", rc.n), ("members", rc.members), ("cat_comp", comp)):
+            have = getattr(inp, field)
             assert have.dtype == want.dtype and np.array_equal(have, want), (code, field)
 
 
@@ -77,17 +86,17 @@ def inputs_seven_partitions(spark):
 def test_model_inputs_independent_of_partitioning(inputs_small, inputs_seven_partitions):
     """The same corpus under other shuffle partitioning gives the same model inputs."""
     for code, inp in inputs_small.items():
-        for field in ("pool", "counts", "sizes", "ids", "cat_comp"):
+        for field in ("pool", "counts", "sizes", "members", "cat_comp"):
             other = inputs_seven_partitions[code]
             assert np.array_equal(getattr(other, field), getattr(inp, field)), (code, field)
 
 
 def test_real_recipes_independent_of_partitioning(inputs_small, inputs_seven_partitions):
-    """``sizes``, ``ids`` and ``cat_comp`` follow ``recipe_id`` order,
+    """``sizes``, ``members`` and ``cat_comp`` follow ``recipe_id`` order,
     whatever the shuffle partitioning."""
     other = inputs_seven_partitions
     for code, inp in inputs_small.items():
-        for field in ("sizes", "ids", "cat_comp"):
+        for field in ("sizes", "members", "cat_comp"):
             assert np.array_equal(getattr(other[code], field), getattr(inp, field)), (code, field)
 
 
@@ -200,14 +209,14 @@ def test_generation_deterministic(spark, inputs):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_padded_batch_equals_loop_reference(inputs, model):
-    """The padded generators draw exactly the recipes of the per-recipe loop."""
+    """The flat batch generators draw exactly the recipes of the
+    per-recipe loop, concatenated."""
     for inp in inputs.values():
-        sizes, ids = model_batch(inp, model, 5000, 700, seed=3)
+        sizes, members = model_batch(inp, model, 5000, 700, seed=3)
         ref_sizes, ref = model_batch_loop(inp, model, 5000, 700, seed=3)
         assert np.array_equal(sizes, ref_sizes)
-        assert ids.shape[1] == sizes.max()
-        assert (ids[np.arange(ids.shape[1]) >= sizes[:, None]] == PAD_ID).all()
-        assert [row[:size].tolist() for row, size in zip(ids, sizes)] == [r.tolist() for r in ref]
+        assert members.dtype == np.int64
+        assert members.tolist() == np.concatenate(ref).tolist()
 
 
 def test_unknown_model_rejected(spark, inputs):

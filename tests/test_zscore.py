@@ -11,7 +11,7 @@ from repro.core.pairing import PAD_ID
 from repro.core.randomize import MODELS, REAL, batch_plan, region_model_inputs
 from repro.core import zscore
 from repro.core.zscore import _deal, food_pairing_table, merge_moments, model_moments
-from repro.regions import REGIONS, by_code
+from repro.regions import PAPER_SIGNS, by_code
 from tests.conftest import SEED
 from tests.reference import cuisine_scores, random_recipes, recipe_scores_fast
 
@@ -46,9 +46,8 @@ def test_signs_match_paper_in_most_regions(spark, inputs_mid, overlap_matrix):
     """All 22 regions at scale 0.1 and n_rand 5,000: the real cuisine's Z
     has the paper's sign in at least 20."""
     table = food_pairing_table(spark, inputs_mid, overlap_matrix, n_rand=5000, seed=17)
-    signs = {r.code: r.pairing_sign for r in REGIONS}
     scored = table[table["region"] != "OTHER"]
-    ok = (np.sign(scored["z_real"]) == scored["region"].map(signs)).sum()
+    ok = (np.sign(scored["z_real"]) == scored["region"].map(PAPER_SIGNS)).sum()
     assert ok >= 20
 
 
@@ -194,8 +193,8 @@ def test_merge_moments_equals_numpy():
 
 
 def test_model_moments_checks_random_recipes(spark, small_inputs, overlap_matrix):
-    """A bad pool id, and a real recipe whose n is not its member count,
-    reach the kernel's checks inside the fused stage."""
+    """A bad pool id, and real recipe sizes that no longer sum to the
+    region's members, reach the kernel's checks inside the fused stage."""
     inp = small_inputs["KOR"]
     pool = inp.pool.copy()
     pool[np.argmax(inp.counts)] = PAD_ID + 3
@@ -206,5 +205,7 @@ def test_model_moments_checks_random_recipes(spark, small_inputs, overlap_matrix
     sizes = inp.sizes.copy()
     sizes[4] += 1
     bad = {**small_inputs, "KOR": dataclasses.replace(inp, sizes=sizes)}
-    with pytest.raises(PythonException, match=r"ValueError: region KOR, model real, recipe 4: n differs"):
+    with pytest.raises(
+        PythonException, match=r"ValueError: region KOR, model real, recipe \d+: \d+ members for recipe sizes summing to"
+    ):
         model_moments(spark, batch_plan(bad, (REAL,), 200), bad, overlap_matrix, seed=23)
