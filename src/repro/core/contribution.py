@@ -49,11 +49,10 @@ def ingredient_contributions(corpus: FlatCorpus, matrix: np.ndarray) -> pd.DataF
     removing i empties the region or when N_s^C = 0.
 
     Every sum runs over the recipes in ``recipe_id`` order, so χ does
-    not depend on the order of the recipes.  Raises
-    ``ValueError`` when the members are not as many as the sizes sum to.
+    not depend on the order of the recipes.  Raises ``ValueError``
+    (from :meth:`FlatCorpus.take`) when the members are not as many as
+    the sizes sum to.
     """
-    if len(corpus.members) != corpus.n.sum():
-        raise ValueError(f"{len(corpus.members)} members for recipe sizes summing to {corpus.n.sum()}")
     corpus = corpus.take(np.argsort(corpus.recipe_id, kind="stable"))
     region, regions = pd.factorize(corpus.region, sort=True)
     t = flat_overlap(corpus.members, corpus.n, lambda row: f"recipe {corpus.recipe_id[row]}", matrix)

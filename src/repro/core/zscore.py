@@ -87,20 +87,27 @@ def merge_moments(batches: pd.DataFrame) -> pd.DataFrame:
 
     Each (region, model) folds its batches in ``start`` order with the
     pairwise update of Chan, Golub & LeVeque (1979), so the result does
-    not depend on the order of the rows.  ``sigma`` is the population
-    standard deviation, sqrt(M2 / count).
+    not depend on the order of the rows.  All groups fold at once, one
+    batch position at a time.  ``sigma`` is the population standard
+    deviation, sqrt(M2 / count).
     """
-    out = []
-    for (region, model), g in batches.sort_values("start").groupby(["region", "model"]):
-        n = mean = m2 = 0.0
-        for count, batch_mean, batch_m2 in g[["count", "mean", "m2"]].itertuples(index=False):
-            total = n + count
-            delta = batch_mean - mean
-            mean += delta * count / total
-            m2 += batch_m2 + delta * delta * n * count / total
-            n = total
-        out.append((region, model, mean, np.sqrt(m2 / n), int(n)))
-    return pd.DataFrame(out, columns=["region", "model", "ns", "sigma", "n_recipes"])
+    b = batches.sort_values(["region", "model", "start"])
+    first = ~b.duplicated(["region", "model"]).to_numpy()
+    group = np.cumsum(first) - 1
+    position = np.arange(len(b)) - np.flatnonzero(first)[group]
+    count, batch_mean, batch_m2 = (b[c].to_numpy(np.float64) for c in ("count", "mean", "m2"))
+    n, mean, m2 = np.zeros((3, first.sum()))
+    for p in range(position.max(initial=-1) + 1):
+        at = position == p
+        g, c = group[at], count[at]
+        total = n[g] + c
+        delta = batch_mean[at] - mean[g]
+        mean[g] += delta * c / total
+        m2[g] += batch_m2[at] + delta * delta * n[g] * c / total
+        n[g] = total
+    out = b.loc[first, ["region", "model"]].reset_index(drop=True)
+    out["ns"], out["sigma"], out["n_recipes"] = mean, np.sqrt(m2 / n), n.astype(np.int64)
+    return out
 
 
 def food_pairing_table(

@@ -16,7 +16,11 @@ make the distortion negligible).
 (per-recipe ``recipe_id``, ``region`` and ``n``, and every member in
 recipe order; recipe r's members start at ``offsets[r]``, the cumulative
 sum of ``n``) with no Spark job and no per-recipe object.  It is the
-driver's only form of the corpus: Table 1 and Figs. 2–5 read it.
+driver's only form of the corpus: Table 1 and Figs. 2–5 read it.  It is
+cached per ``(scale, seed)``, so every caller in a process gets the same
+read-only arrays; :meth:`FlatCorpus.take` returns fresh arrays that may
+be modified.  The cache saves only where a key repeats: a one-shot job
+generates its corpus once either way.
 
 ``corpus_frame`` is the only way the corpus reaches Spark.  It lays the
 (region, start, count) batch plan out over the Spark partitions, and
@@ -35,6 +39,7 @@ Schema of ``corpus_frame``'s rows (``FlatCorpus`` flattens ``ingredients``)::
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -133,27 +138,41 @@ class FlatCorpus(NamedTuple):
         return np.r_[0, np.cumsum(self.n)]
 
     def take(self, rows: np.ndarray) -> FlatCorpus:
-        """The recipes selected by ``rows`` (a boolean mask or indices), in that order."""
+        """The recipes selected by ``rows`` (a boolean mask or indices), in
+        that order, as fresh arrays.  Raises ``ValueError`` when the members
+        are not as many as the sizes sum to."""
+        if len(self.members) != self.n.sum():
+            raise ValueError(f"{len(self.members)} members for recipe sizes summing to {self.n.sum()}")
         n = self.n[rows]
         start = self.offsets[:-1][rows]
         members = self.members[np.repeat(start - np.cumsum(n) + n, n) + np.arange(n.sum())]
         return FlatCorpus(self.recipe_id[rows], self.region[rows], n, members)
 
 
+@lru_cache(maxsize=8)
 def flat_corpus(scale: float = 1.0, seed: int = 11) -> FlatCorpus:
     """The corpus at ``scale`` (1.0 → the paper's 45,772 recipes) as a
     :class:`FlatCorpus`, in ``recipe_id`` order, generated on the driver
     with no Spark job.  The coverage plan makes the per-region
-    unique-ingredient counts hit the Table 1 targets exactly."""
+    unique-ingredient counts hit the Table 1 targets exactly.
+
+    Generated once per ``(scale, seed)`` and process, and shared: every
+    call returns the same object, whose four arrays are read-only, so a
+    write into them raises instead of changing the corpus that later
+    callers get.  Use :meth:`FlatCorpus.take` for arrays to modify.
+    """
     specs = region_specs(scale, seed)
     sizes, members = zip(*(_generate_region(spec, seed) for spec in specs))
     counts = [len(s) for s in sizes]
-    return FlatCorpus(
+    corpus = FlatCorpus(
         recipe_id=np.concatenate([s.recipe_offset + np.arange(c) for s, c in zip(specs, counts)]),
         region=np.repeat([s.code for s in specs], counts),
         n=np.concatenate(sizes),
         members=np.concatenate(members),
     )
+    for array in corpus:
+        array.setflags(write=False)
+    return corpus
 
 
 def corpus_frame(spark: SparkSession, specs: tuple[RegionSpec, ...], flat: Broadcast) -> DataFrame:

@@ -1,9 +1,9 @@
 """Catalyst join forms of the overlap table and of N_s^R, per-recipe
 DataFrame forms of N_s^R, N_s^C and the random recipes, the loop forms
-of the randomized-cuisine generators and of the corpus coverage swaps,
-the Gumbel form of the top-k sampler, the pandas form of the
-compound-profile pooling, and the nested (one array per recipe) frame of
-the flat driver corpus with its exploded form.
+of the randomized-cuisine generators, of the corpus coverage swaps and
+of the Fig. 4 batch-moment merge, the Gumbel form of the top-k sampler,
+the pandas form of the compound-profile pooling, and the nested (one
+array per recipe) frame of the flat driver corpus with its exploded form.
 
 Reference implementations only: the package builds the overlap matrix
 with :func:`repro.flavordb.profiles.shared_matrix_numpy` and scores
@@ -248,6 +248,22 @@ def coverage_fixes_loop(spec: RegionSpec, raw: list[np.ndarray]) -> dict[int, li
         members[members.index(victim)] = ing
         replaced.add(ing)
     return fixes
+
+
+def merge_moments_loop(batches: pd.DataFrame) -> pd.DataFrame:
+    """Loop form of :func:`repro.core.zscore.merge_moments`: each (region,
+    model) group folds its batches one row at a time, in ``start`` order."""
+    out = []
+    for (region, model), g in batches.sort_values("start").groupby(["region", "model"]):
+        n = mean = m2 = 0.0
+        for count, batch_mean, batch_m2 in g[["count", "mean", "m2"]].itertuples(index=False):
+            total = n + count
+            delta = batch_mean - mean
+            mean += delta * count / total
+            m2 += batch_m2 + delta * delta * n * count / total
+            n = total
+        out.append((region, model, mean, np.sqrt(m2 / n), int(n)))
+    return pd.DataFrame(out, columns=["region", "model", "ns", "sigma", "n_recipes"])
 
 
 def profiles_pandas() -> pd.DataFrame:

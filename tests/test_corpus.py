@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.culinarydb.corpus import _batches, _generate_region, build_corpus, corpus_frame, flat_corpus
+from repro.culinarydb.corpus import (
+    FlatCorpus,
+    _batches,
+    _generate_region,
+    build_corpus,
+    corpus_frame,
+    flat_corpus,
+)
 from repro.culinarydb.generator import RegionSpec, generate_batch, region_specs
 from repro.flavordb.ingredients import N_INGREDIENTS
 from repro.oracle import assert_equivalent
@@ -215,6 +222,30 @@ def test_flat_corpus_take_matches_frame_rows(flat_small, recipes_small):
         assert np.array_equal(got.n, want["n"])
         assert got.members.dtype == np.int64
         assert np.array_equal(got.members, np.concatenate(want["ingredients"].to_list()))
+
+
+@pytest.mark.parametrize("members, total", [(np.arange(6), 6), (np.arange(4), 4)])
+def test_take_rejects_members_not_matching_sizes(members, total):
+    """Extra members are not dropped, and missing ones give no bare IndexError."""
+    corpus = FlatCorpus(np.array([1, 2]), np.array(["KOR", "KOR"]), np.array([2, 3]), members)
+    with pytest.raises(ValueError, match=f"{total} members for recipe sizes summing to 5"):
+        corpus.take(np.array([1, 0]))
+
+
+def test_flat_corpus_is_shared_per_scale_and_seed(flat_small):
+    """One corpus per (scale, seed) and process; another seed is another corpus."""
+    assert flat_corpus(0.02, SEED) is flat_small
+    other = flat_corpus(0.02, SEED + 1)
+    assert other is not flat_small
+    assert not np.array_equal(other.members[:1000], flat_small.members[:1000])
+
+
+@pytest.mark.parametrize("field", FlatCorpus._fields)
+def test_flat_corpus_is_read_only(flat_small, field):
+    """A write into the shared corpus raises; ``take`` gives writable copies."""
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(flat_small, field)[0] = getattr(flat_small, field)[1]
+    assert getattr(flat_small.take(np.arange(3)), field).flags.writeable
 
 
 def test_build_corpus_starts_no_spark_job(spark):

@@ -8,6 +8,7 @@ import pandas as pd
 import pyspark.errors.utils
 import pytest
 
+from repro.culinarydb.corpus import _generate_region, flat_corpus
 from repro.culinarydb.generator import region_specs
 from tests.conftest import SEED
 
@@ -75,6 +76,7 @@ def test_t5_run_scores_the_flat_corpus(monkeypatch, overlap_matrix, recipes_smal
     """T5 takes χ from the generator's flat arrays: with ``np.split`` and
     every ``explode`` raising, it builds no per-recipe array and still
     gives the pair decomposition's top-3."""
+    flat_corpus.cache_clear()  # generate under the patches, not from the cache
     _refuse_per_recipe_arrays(monkeypatch)
     top = t5_contributions.run(None, scale=SCALE, seed=SEED)
     ref = _chi_by_pair_decomposition(recipes_small[recipes_small["region"] != "OTHER"], overlap_matrix)
@@ -88,6 +90,7 @@ def test_t1_t3_read_the_flat_corpus(monkeypatch):
     """T1–T3 count the flat corpus's members as they are: with every
     ``explode`` and ``np.split`` raising, they still run, and Table 1
     holds each region's recipes and pool."""
+    flat_corpus.cache_clear()  # generate under the patches, not from the cache
     _refuse_per_recipe_arrays(monkeypatch)
     table = t1_region_stats.run(None, SCALE, SEED).set_index("region")
     specs = [s for s in region_specs(SCALE, SEED) if s.code != "OTHER"]
@@ -98,6 +101,24 @@ def test_t1_t3_read_the_flat_corpus(monkeypatch):
     assert t2_category_heatmap.run(None, SCALE, SEED)["region"].nunique() == 24
     sizes, curve = t3_size_popularity.run(None, SCALE, SEED)
     assert len(sizes) == len(curve) == 23
+
+
+def test_driver_jobs_generate_the_corpus_once(monkeypatch):
+    """T1, T2, T3 and T5 at one (scale, seed) share one corpus: each of
+    the 23 regions (22 and OTHER) is generated once, not once per job."""
+    calls = []
+
+    def counted(spec, seed):
+        calls.append(spec.code)
+        return _generate_region(spec, seed)
+
+    flat_corpus.cache_clear()
+    monkeypatch.setattr("repro.culinarydb.corpus._generate_region", counted)
+    t1_region_stats.run(None, SCALE, SEED)
+    t2_category_heatmap.run(None, SCALE, SEED)
+    t3_size_popularity.run(None, SCALE, SEED)
+    t5_contributions.run(None, SCALE, SEED)
+    assert len(calls) == len(set(calls)) == len(region_specs(SCALE, SEED)) == 23
 
 
 def test_t4_run_finite_z_for_every_region_and_model(spark):

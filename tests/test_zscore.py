@@ -13,7 +13,7 @@ from repro.core import zscore
 from repro.core.zscore import _deal, food_pairing_table, merge_moments, model_moments
 from repro.regions import PAPER_SIGNS, by_code
 from tests.conftest import SEED
-from tests.reference import cuisine_scores, random_recipes, recipe_scores_fast
+from tests.reference import cuisine_scores, merge_moments_loop, random_recipes, recipe_scores_fast
 
 #: Two strongly-positive and two strongly-negative regions keep the
 #: subset test fast while covering both regimes.
@@ -190,6 +190,24 @@ def test_merge_moments_equals_numpy():
         assert row["sigma"] == pytest.approx(np.std(v, ddof=0), rel=1e-12)
     shuffled = merge_moments(batches.sample(frac=1.0, random_state=1))
     pd.testing.assert_frame_equal(shuffled, got)
+
+
+def test_merge_moments_equals_the_loop_form():
+    """All groups folded at once give the loop form's frame bit for bit:
+    1–20 uneven batches per (region, model), rows shuffled."""
+    rng = np.random.default_rng(9)
+    for trial in range(20):
+        rows = []
+        for region in ("A", "B", "C"):
+            for model in ("category", "random", "real"):
+                start = 0
+                for count in rng.integers(1, 400, size=rng.integers(1, 21)):
+                    c = rng.normal(rng.uniform(-2, 5), rng.uniform(0.1, 3), size=count)
+                    rows.append((region, model, start, count, c.mean(), ((c - c.mean()) ** 2).sum()))
+                    start += count
+        batches = pd.DataFrame(rows, columns=["region", "model", "start", "count", "mean", "m2"])
+        shuffled = batches.sample(frac=1.0, random_state=trial).reset_index(drop=True)
+        pd.testing.assert_frame_equal(merge_moments(shuffled), merge_moments_loop(shuffled), check_exact=True)
 
 
 def test_model_moments_checks_random_recipes(spark, small_inputs, overlap_matrix):
